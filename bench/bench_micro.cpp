@@ -1,7 +1,8 @@
 // E14 — google-benchmark microbenchmarks: hash families, conditional
 // probability engines, GF(2^m) arithmetic, graph generation, simulator
 // throughput. These quantify the per-query costs that make the fast
-// bitwise engine the default (DESIGN.md).
+// bitwise engine the default (docs/ARCHITECTURE.md, "Departures from the
+// paper").
 #include <benchmark/benchmark.h>
 
 #include "src/coloring/pair_prob.h"

@@ -49,9 +49,10 @@ inline OneEighthRun run_one_eighth(const Graph& g, std::uint64_t list_seed, bool
   std::vector<Color> colors(g.num_nodes(), kUncolored);
   PartialColoringOptions opts;
   opts.avoid_mis = avoid_mis;
+  NetworkColoringTransport transport(net, channel);
   OneEighthRun run;
-  run.stats =
-      color_one_eighth(net, channel, active, inst, colors, lin.coloring, lin.num_colors, opts);
+  run.stats = color_one_eighth(transport, active, inst, colors, lin.coloring, lin.num_colors,
+                               opts);
 
   benchkit::Outcome& o = run.outcome;
   o.n = g.num_nodes();

@@ -24,7 +24,8 @@
 // conditional interval probabilities are plain interval intersections
 // (see the .cpp). The bitwise coin family's longer seed costs an extra
 // O(logDelta) factor per pass relative to the paper's O(log n)-bit seed —
-// the same documented substitution as in CONGEST (DESIGN.md).
+// the same documented substitution as in CONGEST (docs/ARCHITECTURE.md,
+// "Departures from the paper").
 #pragma once
 
 #include <cstdint>

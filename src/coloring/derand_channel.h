@@ -1,23 +1,24 @@
-// Communication abstractions of the Theorem 1.1 pipeline.
+// Communication abstractions of the seed-fixing pipelines (Theorem 1.1,
+// Corollary 1.2 and the derandomized MIS).
 //
-// Two layers, mirroring the MisTransport split in derand_mis.h:
+// Two layers:
 //
 //  * DerandChannel — the aggregation/broadcast channel used by the
-//    seed-fixing loop (Lemma 2.6). Fixing one seed bit needs (a) a global
-//    sum of two per-node conditional expectations and (b) a one-bit
-//    broadcast of the chosen value. Theorem 1.1 runs this over a BFS tree
-//    of the whole communication graph (O(D) rounds per bit); Corollary
-//    1.2 runs it over the associated tree of a network-decomposition
-//    cluster (O(log^3 n) rounds per bit, with the decomposition's
-//    congestion factor charged by the caller).
+//    seed-fixing loop (Lemma 2.6, seed_fixing.h). Fixing one seed bit
+//    needs (a) a global sum of two per-node conditional expectations and
+//    (b) a one-bit broadcast of the chosen value. Theorem 1.1 and the MIS
+//    run this over a BFS tree of the whole communication graph (O(D)
+//    rounds per bit); Corollary 1.2 runs it over the associated tree of a
+//    network-decomposition cluster (O(log^3 n) rounds per bit, with the
+//    decomposition's congestion factor charged by the caller).
 //
-//  * ColoringTransport — every communication primitive the shared
-//    Lemma 2.1 / Theorem 1.1 core (color_one_eighth, list_color_subset)
-//    issues: the Linial input coloring, the aggregation tree, one-round
-//    exchanges along explicit conflict-edge lists, the seed-fixing
-//    channel ops, and the conflict-resolution MIS. The core is written
-//    once over this interface; congest::Network provides the sequential
-//    reference execution (NetworkColoringTransport below) and
+//  * ColoringTransport — every communication primitive the shared cores
+//    (color_one_eighth, list_color_subset, derandomized_mis_core) issue:
+//    the Linial input coloring, the aggregation tree, one-round exchanges
+//    along explicit edge lists, the seed-fixing channel ops, and the
+//    conflict-resolution MIS. The cores are written once over this
+//    interface; congest::Network provides the sequential reference
+//    execution (NetworkColoringTransport below) and
 //    runtime::ParallelEngine the parallel one
 //    (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).
 //    Implementations must charge identical CONGEST costs for identical

@@ -1,74 +1,25 @@
 #include "src/coloring/derand_mis.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/coloring/pair_prob.h"
-#include "src/congest/bfs_tree.h"
+#include "src/coloring/seed_fixing.h"
 #include "src/congest/network.h"
 #include "src/graph/properties.h"
 #include "src/hash/bitwise_family.h"
 #include "src/util/bits.h"
 
 namespace dcolor {
-namespace {
 
-// Reference transport: the sequential CONGEST simulator. Every primitive
-// is exactly the call sequence the pre-transport implementation issued,
-// so metrics are unchanged and the parallel engine has a golden model.
-class NetworkMisTransport final : public MisTransport {
- public:
-  explicit NetworkMisTransport(const Graph& g) : g_(&g), net_(g) {}
-
-  LinialResult linial_ids() override {
-    InducedSubgraph all(*g_, std::vector<bool>(g_->num_nodes(), true));
-    return linial_coloring(net_, all);
-  }
-
-  void build_tree(NodeId root) override { tree_ = congest::BfsTree::build(net_, root); }
-
-  void exchange(const std::vector<char>& senders, const std::vector<std::uint64_t>& payloads,
-                int bits, const std::vector<char>& active,
-                std::vector<char>* received) override {
-    const NodeId n = g_->num_nodes();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!senders[v]) continue;
-      for (NodeId u : g_->neighbors(v)) {
-        if (active[u]) net_.send(v, u, payloads[v], bits);
-      }
-    }
-    net_.advance_round();
-    if (received != nullptr) {
-      for (NodeId v = 0; v < n; ++v) (*received)[v] = net_.inbox(v).empty() ? 0 : 1;
-    }
-  }
-
-  std::uint64_t aggregate_fixed_sum(const std::vector<long double>& values) override {
-    return congest::aggregate_fixed_sum(net_, tree_, values);
-  }
-
-  void broadcast(std::uint64_t value, int bits) override { tree_.broadcast(net_, value, bits); }
-
-  void tick(std::int64_t rounds) override { net_.tick(rounds); }
-
-  const congest::Metrics& metrics() const override { return net_.metrics(); }
-
- private:
-  const Graph* g_;
-  congest::Network net_;
-  congest::BfsTree tree_;
-};
-
-}  // namespace
-
-DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
+DerandMisResult derandomized_mis_core(ColoringTransport& t) {
+  const Graph& g = t.graph();
   const NodeId n = g.num_nodes();
   DerandMisResult res;
   res.in_mis.assign(n, false);
   if (n == 0) return res;
 
   // Input coloring for the coins (adjacent nodes must hash independently).
-  LinialResult lin = t.linial_ids();
+  LinialResult lin = t.linial(InducedSubgraph(g, std::vector<bool>(n, true)), nullptr, 0);
   t.build_tree(0);
 
   std::vector<char> active(n, 1);
@@ -124,64 +75,33 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
           payloads[v] = specs[v].threshold;
         }
       }
-      t.exchange(senders, payloads, b + 1, active, nullptr);
+      t.exchange_along(adj, senders, payloads, b + 1, nullptr);
     }
-
-    auto engine =
-        make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(lin.num_colors), b);
-    engine->begin_phase(specs, edges);
 
     // Fix the seed, MAXIMIZING the conditional estimator
-    //   F = sum_v Pr[C_v=1] - sum_{(u,v) in E} Pr[C_u=1 and C_v=1]
-    // (per-node form: each node owns its marginal and half of each
-    // incident edge's joint term twice -> assign joint to both endpoints
-    // with weight 1/2... we instead assign the marginal to v and the full
-    // joint to the lower endpoint; the SUM is what matters).
-    const int d = engine->num_seed_bits();
-    std::vector<long double> x0(n), x1(n);
-    for (int j = 0; j < d; ++j) {
-      std::fill(x0.begin(), x0.end(), 0.0L);
-      std::fill(x1.begin(), x1.end(), 0.0L);
-      // Marginals come for free from any incident edge's joint; nodes
-      // without edges were handled above.
-      std::vector<bool> counted(n, false);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const NodeId u = edges[e].u;
-        const NodeId v = edges[e].v;
-        const JointDist J0 = engine->edge_joint(static_cast<int>(e), 0);
-        const JointDist J1 = engine->edge_joint(static_cast<int>(e), 1);
-        if (!counted[u]) {
-          counted[u] = true;
-          x0[u] += J0[1][0] + J0[1][1];
-          x1[u] += J1[1][0] + J1[1][1];
-        }
-        if (!counted[v]) {
-          counted[v] = true;
-          x0[v] += J0[0][1] + J0[1][1];
-          x1[v] += J1[0][1] + J1[1][1];
-        }
-        x0[u] -= J0[1][1];
-        x1[u] -= J1[1][1];
-      }
-      // The estimator terms can be negative (joint mass exceeding the
-      // marginal on high-degree nodes); the fixed-point aggregation codec
-      // is non-negative, so shift every node by +1 — the same offset on
-      // both candidate sums leaves the argmax unchanged.
-      for (NodeId v = 0; v < n; ++v) {
-        x0[v] += 1.0L;
-        x1[v] += 1.0L;
-      }
-      // Aggregate both candidate sums over the BFS tree; the leader picks
-      // the MAXIMIZING bit (negated objective of the coloring engine).
-      const std::uint64_t s0 = t.aggregate_fixed_sum(x0);
-      long double sum1 = 0;
-      for (long double x : x1) sum1 += x;
-      t.tick(1);  // second word rides the same wave (pipelined chunk)
-      const long double sum0 = congest::from_fixed(s0);
-      const int bit = sum0 >= sum1 ? 0 : 1;
-      t.broadcast(static_cast<std::uint64_t>(bit), 1);
-      engine->fix_next_bit(bit);
+    //   F = sum_v Pr[C_v=1] - sum_{(u,v) in E} Pr[C_u=1 and C_v=1].
+    // Each node owns its marginal, taken from its first incident edge's
+    // joint (nodes without edges were handled above), and the lower
+    // endpoint of each edge owns its joint term; the SUM is what matters.
+    // The terms can be negative (joint mass exceeding the marginal on
+    // high-degree nodes) while the fixed-point aggregation codec is
+    // non-negative, so every node is shifted by +1 — the same offset on
+    // both candidate sums leaves the argmax unchanged.
+    std::vector<std::size_t> first_edge(n, edges.size());
+    for (std::size_t e = edges.size(); e-- > 0;) {
+      first_edge[edges[e].u] = e;
+      first_edge[edges[e].v] = e;
     }
+    auto engine =
+        make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(lin.num_colors), b);
+    fix_seed_bits(t, *engine, specs, edges, SeedGoal::kMaximize, 1.0L,
+                  [&](std::size_t e, const JointDist& J, std::vector<long double>& x) {
+                    const NodeId u = edges[e].u;
+                    const NodeId v = edges[e].v;
+                    if (first_edge[u] == e) x[u] += J[1][0] + J[1][1];
+                    if (first_edge[v] == e) x[v] += J[0][1] + J[1][1];
+                    x[u] -= J[1][1];
+                  });
 
     // Apply: candidates = coin 1; enter MIS if no candidate neighbor.
     std::vector<char> candidate(n, 0);
@@ -191,7 +111,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
     // One round: candidates announce themselves.
     {
       std::vector<std::uint64_t> ones(n, 1);
-      t.exchange(candidate, ones, 1, active, nullptr);
+      t.exchange_along(adj, candidate, ones, 1, nullptr);
     }
     for (NodeId v = 0; v < n; ++v) {
       if (!candidate[v]) continue;
@@ -211,7 +131,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
       t.tick(1);
     }
     // MIS nodes announce; they and their neighbors deactivate.
-    std::vector<char> got(n, 0);
+    std::vector<std::vector<NodeId>> heard(n);
     {
       std::vector<char> senders(n, 0);
       std::vector<std::uint64_t> ones(n, 1);
@@ -219,12 +139,12 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
         res.in_mis[v] = true;
         senders[v] = 1;
       }
-      t.exchange(senders, ones, 1, active, &got);
+      t.exchange_along(adj, senders, ones, 1, &heard);
     }
     std::vector<char> deact(n, 0);
     for (NodeId v : joined) deact[v] = 1;
     for (NodeId v = 0; v < n; ++v) {
-      if (active[v] && got[v]) deact[v] = 1;
+      if (active[v] && !heard[v].empty()) deact[v] = 1;
     }
     for (NodeId v = 0; v < n; ++v) {
       if (active[v] && deact[v]) {
@@ -248,41 +168,20 @@ DerandMisResult derandomized_mis_per_component(
   const std::vector<int> comp = connected_components(g, &num_comp);
   if (num_comp == 1) return solve_connected(g);
 
-  // Components execute in parallel — rounds are the max, messages add up.
-  for (int c = 0; c < num_comp; ++c) {
-    std::vector<NodeId> local(n, -1);
-    std::vector<NodeId> global;
-    for (NodeId v = 0; v < n; ++v) {
-      if (comp[v] == c) {
-        local[v] = static_cast<NodeId>(global.size());
-        global.push_back(v);
-      }
-    }
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (NodeId v : global) {
-      for (NodeId u : g.neighbors(v)) {
-        if (comp[u] == c && v < u) edges.emplace_back(local[v], local[u]);
-      }
-    }
-    Graph sub = Graph::from_edges(static_cast<NodeId>(global.size()), std::move(edges));
-    DerandMisResult sub_res = solve_connected(sub);
-    for (std::size_t i = 0; i < global.size(); ++i) {
-      res.in_mis[global[i]] = sub_res.in_mis[i];
-    }
+  for (const ComponentGraph& c : component_graphs(g, comp, num_comp)) {
+    const DerandMisResult sub_res = solve_connected(c.graph);
+    for (std::size_t i = 0; i < c.global.size(); ++i) res.in_mis[c.global[i]] = sub_res.in_mis[i];
     res.iterations = std::max(res.iterations, sub_res.iterations);
-    res.metrics.rounds = std::max(res.metrics.rounds, sub_res.metrics.rounds);
-    res.metrics.messages += sub_res.metrics.messages;
-    res.metrics.total_bits += sub_res.metrics.total_bits;
-    res.metrics.max_message_bits =
-        std::max(res.metrics.max_message_bits, sub_res.metrics.max_message_bits);
+    res.metrics.merge_parallel(sub_res.metrics);
   }
   return res;
 }
 
 DerandMisResult derandomized_mis(const Graph& g) {
   return derandomized_mis_per_component(g, [](const Graph& sub) {
-    NetworkMisTransport transport(sub);
-    return derandomized_mis_core(sub, transport);
+    congest::Network net(sub);
+    NetworkColoringTransport transport(net);
+    return derandomized_mis_core(transport);
   });
 }
 

@@ -1,7 +1,8 @@
 #include "src/coloring/list_instance.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
@@ -13,13 +14,21 @@ ListInstance::ListInstance(const Graph& g, std::int64_t color_space,
       color_space_(color_space),
       color_bits_(ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(color_space), 2))),
       lists_(std::move(lists)) {
-  assert(static_cast<NodeId>(lists_.size()) == g.num_nodes());
+  if (static_cast<NodeId>(lists_.size()) != g.num_nodes()) {
+    throw std::invalid_argument("ListInstance: need exactly one list per node");
+  }
+  const auto reject = [](const char* what, NodeId v) {
+    throw std::invalid_argument(std::string("ListInstance: ") + what + " (node " +
+                                std::to_string(v) + ")");
+  };
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto& L = lists_[v];
     std::sort(L.begin(), L.end());
-    assert(std::unique(L.begin(), L.end()) == L.end());
-    assert(static_cast<int>(L.size()) >= g.degree(v) + 1);
-    assert(L.empty() || (L.front() >= 0 && L.back() < color_space));
+    if (std::adjacent_find(L.begin(), L.end()) != L.end()) reject("duplicate list entry", v);
+    if (!L.empty() && (L.front() < 0 || L.back() >= color_space)) {
+      reject("color outside [0, C)", v);
+    }
+    if (static_cast<int>(L.size()) < g.degree(v) + 1) reject("list smaller than deg(v)+1", v);
   }
 }
 
@@ -38,7 +47,9 @@ ListInstance ListInstance::random_lists(const Graph& g, std::int64_t color_space
   std::vector<std::vector<Color>> lists(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const int need = g.degree(v) + 1;
-    assert(color_space >= need);
+    if (color_space < need) {
+      throw std::invalid_argument("ListInstance::random_lists: C < deg(v)+1");
+    }
     // Floyd's algorithm for a uniform random subset of size `need`.
     std::vector<Color> sample;
     for (std::int64_t j = color_space - need; j < color_space; ++j) {
@@ -56,7 +67,6 @@ ListInstance ListInstance::random_lists(const Graph& g, std::int64_t color_space
 
 ListInstance ListInstance::shared_pool_lists(const Graph& g, std::int64_t pool_size,
                                              std::uint64_t seed) {
-  assert(pool_size >= g.max_degree() + 1);
   return random_lists(g, pool_size, seed);
 }
 

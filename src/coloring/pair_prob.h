@@ -15,7 +15,8 @@
 //    digit and never revisit it, and the unfixed digits have a closed-form
 //    uniform tail. Cost per (edge, seed bit, candidate): O(1).
 //
-// Both engines are exact (up to long-double rounding, see DESIGN.md).
+// Both engines are exact (up to long-double rounding, see
+// docs/ARCHITECTURE.md, "Departures from the paper").
 #pragma once
 
 #include <memory>

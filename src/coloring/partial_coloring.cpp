@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/coloring/seed_fixing.h"
 #include "src/hash/bitwise_family.h"
 #include "src/hash/gf_family.h"
 #include "src/util/bits.h"
@@ -67,7 +68,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   std::unique_ptr<CoinFamily> family =
       make_coin_family(opts.family, static_cast<std::uint64_t>(K), b);
   std::unique_ptr<PairProbEngine> engine =
-      (opts.family == CoinFamilyKind::kBitwise && opts.fast_engine)
+      opts.family == CoinFamilyKind::kBitwise
           ? make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(K), b)
           : make_generic_pair_prob(*family);
   stats.seed_bits = engine->num_seed_bits();
@@ -94,7 +95,6 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
 
   std::vector<CoinSpec> specs(n);
   std::vector<int> k1_of(n, 0);
-  std::vector<long double> x0(n), x1(n);
 
   // --- ceil(logC) prefix-extension phases.
   for (int l = 0; l < width; ++l) {
@@ -132,44 +132,20 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
         if (v < u) edges.push_back(ConflictEdge{v, u});
       }
     }
-    engine->begin_phase(specs, edges);
-
-    // --- Fix the seed bits one by one (Lemma 2.6).
-    const int d = engine->num_seed_bits();
-    for (int j = 0; j < d; ++j) {
-      std::fill(x0.begin(), x0.end(), 0.0L);
-      std::fill(x1.begin(), x1.end(), 0.0L);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const NodeId u = edges[e].u;
-        const NodeId v = edges[e].v;
-        const JointDist J0 = engine->edge_joint(static_cast<int>(e), 0);
-        const JointDist J1 = engine->edge_joint(static_cast<int>(e), 1);
-        // Contribution of this edge to E[Phi_l(u)] and E[Phi_l(v)]:
-        // Pr[both coins c] weighted by 1/|L_l(endpoint)| after the split.
-        const int k1u = k1_of[u], k0u = range[u].size() - k1u;
-        const int k1v = k1_of[v], k0v = range[v].size() - k1v;
-        if (k0u > 0) {
-          x0[u] += J0[0][0] / k0u;
-          x1[u] += J1[0][0] / k0u;
-        }
-        if (k1u > 0) {
-          x0[u] += J0[1][1] / k1u;
-          x1[u] += J1[1][1] / k1u;
-        }
-        if (k0v > 0) {
-          x0[v] += J0[0][0] / k0v;
-          x1[v] += J1[0][0] / k0v;
-        }
-        if (k1v > 0) {
-          x0[v] += J0[1][1] / k1v;
-          x1[v] += J1[1][1] / k1v;
-        }
-      }
-      const auto [sum0, sum1] = t.aggregate_pair(x0, x1);
-      const int bit = sum0 <= sum1 ? 0 : 1;
-      t.broadcast_bit(bit);
-      engine->fix_next_bit(bit);
-    }
+    // --- Fix the seed bits one by one (Lemma 2.6), minimizing the
+    // potential: each edge contributes to E[Phi_l(u)] and E[Phi_l(v)]
+    // Pr[both coins c], weighted by 1/|L_l(endpoint)| after the split.
+    fix_seed_bits(t, *engine, specs, edges, SeedGoal::kMinimize, 0.0L,
+                  [&](std::size_t e, const JointDist& J, std::vector<long double>& x) {
+                    const NodeId u = edges[e].u;
+                    const NodeId v = edges[e].v;
+                    const int k1u = k1_of[u], k0u = range[u].size() - k1u;
+                    const int k1v = k1_of[v], k0v = range[v].size() - k1v;
+                    if (k0u > 0) x[u] += J[0][0] / k0u;
+                    if (k1u > 0) x[u] += J[1][1] / k1u;
+                    if (k0v > 0) x[v] += J[0][0] / k0v;
+                    if (k1v > 0) x[v] += J[1][1] / k1v;
+                  });
 
     // --- Apply the coins: extend prefixes, update conflict edges.
     std::vector<int> new_bit(n, 0);
@@ -270,15 +246,6 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   }
   stats.newly_colored = static_cast<NodeId>(newly.size());
   return stats;
-}
-
-PartialColoringStats color_one_eighth(congest::Network& net, DerandChannel& channel,
-                                      InducedSubgraph& active, ListInstance& inst,
-                                      std::vector<Color>& colors,
-                                      const std::vector<std::int64_t>& input_coloring,
-                                      std::int64_t K, const PartialColoringOptions& opts) {
-  NetworkColoringTransport transport(net, channel);
-  return color_one_eighth(transport, active, inst, colors, input_coloring, K, opts);
 }
 
 }  // namespace dcolor

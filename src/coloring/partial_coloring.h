@@ -30,7 +30,6 @@
 #include "src/coloring/derand_channel.h"
 #include "src/coloring/list_instance.h"
 #include "src/coloring/pair_prob.h"
-#include "src/congest/network.h"
 #include "src/hash/coin_family.h"
 #include "src/util/fraction.h"
 
@@ -38,9 +37,6 @@ namespace dcolor {
 
 struct PartialColoringOptions {
   CoinFamilyKind family = CoinFamilyKind::kBitwise;
-  // Use the fast incremental conditional-probability engine (only valid
-  // for the bitwise family; the GF family always uses the generic one).
-  bool fast_engine = true;
   // Section-4 variant: higher accuracy, no MIS at the end.
   bool avoid_mis = false;
   // Override the simulator's message size (0 = the default Theta(log n)).
@@ -72,14 +68,6 @@ struct PartialColoringStats {
 //  * K              — number of input colors.
 PartialColoringStats color_one_eighth(ColoringTransport& transport, InducedSubgraph& active,
                                       ListInstance& inst, std::vector<Color>& colors,
-                                      const std::vector<std::int64_t>& input_coloring,
-                                      std::int64_t K, const PartialColoringOptions& opts);
-
-// Convenience overload for callers that hold a Network + DerandChannel
-// pair (the pre-transport API): wraps them in a NetworkColoringTransport.
-PartialColoringStats color_one_eighth(congest::Network& net, DerandChannel& channel,
-                                      InducedSubgraph& active, ListInstance& inst,
-                                      std::vector<Color>& colors,
                                       const std::vector<std::int64_t>& input_coloring,
                                       std::int64_t K, const PartialColoringOptions& opts);
 

@@ -39,15 +39,6 @@ int list_color_subset(ColoringTransport& t, InducedSubgraph& active, ListInstanc
   return iterations;
 }
 
-int list_color_subset(congest::Network& net, DerandChannel& channel, InducedSubgraph& active,
-                      ListInstance& inst, std::vector<Color>& colors,
-                      const std::vector<std::int64_t>& input_coloring, std::int64_t K,
-                      const PartialColoringOptions& opts,
-                      std::vector<PartialColoringStats>* stats) {
-  NetworkColoringTransport transport(net, channel);
-  return list_color_subset(transport, active, inst, colors, input_coloring, K, opts, stats);
-}
-
 Theorem11Result theorem11_run(ColoringTransport& t, ListInstance inst,
                               const PartialColoringOptions& opts) {
   Theorem11Result res;
@@ -96,34 +87,13 @@ Theorem11Result theorem11_solve_components(
 
   Theorem11Result res;
   res.colors.assign(g.num_nodes(), kUncolored);
-  for (int c = 0; c < num_comp; ++c) {
-    // Build the component's graph with local ids.
-    std::vector<NodeId> local(g.num_nodes(), -1);
-    std::vector<NodeId> global;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (comp[v] == c) {
-        local[v] = static_cast<NodeId>(global.size());
-        global.push_back(v);
-      }
-    }
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (NodeId v : global) {
-      for (NodeId u : g.neighbors(v)) {
-        if (comp[u] == c && v < u) edges.emplace_back(local[v], local[u]);
-      }
-    }
-    Graph sub = Graph::from_edges(static_cast<NodeId>(global.size()), std::move(edges));
-    std::vector<std::vector<Color>> lists(global.size());
-    for (std::size_t i = 0; i < global.size(); ++i) lists[i] = inst.list(global[i]);
-    ListInstance sub_inst(sub, inst.color_space(), std::move(lists));
-    Theorem11Result sub_res = solve_connected(sub, std::move(sub_inst));
-    for (std::size_t i = 0; i < global.size(); ++i) res.colors[global[i]] = sub_res.colors[i];
-    // Components run in parallel: round count is the max, traffic adds up.
-    res.metrics.rounds = std::max(res.metrics.rounds, sub_res.metrics.rounds);
-    res.metrics.messages += sub_res.metrics.messages;
-    res.metrics.total_bits += sub_res.metrics.total_bits;
-    res.metrics.max_message_bits =
-        std::max(res.metrics.max_message_bits, sub_res.metrics.max_message_bits);
+  for (const ComponentGraph& c : component_graphs(g, comp, num_comp)) {
+    std::vector<std::vector<Color>> lists(c.global.size());
+    for (std::size_t i = 0; i < c.global.size(); ++i) lists[i] = inst.list(c.global[i]);
+    ListInstance sub_inst(c.graph, inst.color_space(), std::move(lists));
+    Theorem11Result sub_res = solve_connected(c.graph, std::move(sub_inst));
+    for (std::size_t i = 0; i < c.global.size(); ++i) res.colors[c.global[i]] = sub_res.colors[i];
+    res.metrics.merge_parallel(sub_res.metrics);
     res.iterations = std::max(res.iterations, sub_res.iterations);
     res.input_colors = std::max(res.input_colors, sub_res.input_colors);
   }

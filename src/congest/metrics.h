@@ -18,6 +18,16 @@ struct Metrics {
     total_bits += o.total_bits;
     max_message_bits = std::max(max_message_bits, o.max_message_bits);
   }
+
+  // Accounts `o` as a run executed in parallel with the ones already
+  // merged (e.g. independent connected components): rounds take the
+  // maximum, traffic adds up.
+  void merge_parallel(const Metrics& o) {
+    rounds = std::max(rounds, o.rounds);
+    messages += o.messages;
+    total_bits += o.total_bits;
+    max_message_bits = std::max(max_message_bits, o.max_message_bits);
+  }
 };
 
 }  // namespace dcolor::congest

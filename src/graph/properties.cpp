@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 namespace dcolor {
 
@@ -77,6 +78,29 @@ bool is_connected(const Graph& g) {
   int k = 0;
   connected_components(g, &k);
   return k == 1;
+}
+
+std::vector<ComponentGraph> component_graphs(const Graph& g, const std::vector<int>& comp,
+                                             int num_components) {
+  const NodeId n = g.num_nodes();
+  std::vector<ComponentGraph> out(static_cast<std::size_t>(num_components));
+  std::vector<NodeId> local(n);
+  for (NodeId v = 0; v < n; ++v) {
+    std::vector<NodeId>& members = out[comp[v]].global;
+    local[v] = static_cast<NodeId>(members.size());
+    members.push_back(v);
+  }
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> edges(out.size());
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId u : g.neighbors(v)) {
+      if (v < u) edges[comp[v]].emplace_back(local[v], local[u]);
+    }
+  }
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    out[c].graph =
+        Graph::from_edges(static_cast<NodeId>(out[c].global.size()), std::move(edges[c]));
+  }
+  return out;
 }
 
 int degeneracy(const Graph& g) {

@@ -23,6 +23,18 @@ std::vector<int> connected_components(const Graph& g, int* num_components);
 
 bool is_connected(const Graph& g);
 
+// A connected component as a standalone graph with local ids: global[i]
+// is the id in the parent graph of local node i (ascending).
+struct ComponentGraph {
+  Graph graph;
+  std::vector<NodeId> global;
+};
+
+// The components labeled `comp` by connected_components, as standalone
+// graphs in component-id order. O(n + m).
+std::vector<ComponentGraph> component_graphs(const Graph& g, const std::vector<int>& comp,
+                                             int num_components);
+
 // Degeneracy (max over subgraphs of min degree) via peeling.
 int degeneracy(const Graph& g);
 

@@ -20,7 +20,8 @@
 //                        b*(ceil(log K)+1) bits, conditioning in O(b).
 //
 // Both are exactly pairwise independent, so Lemmas 2.2/2.3 hold verbatim;
-// they differ only in seed length (see DESIGN.md, substitution notes).
+// they differ only in seed length (see docs/ARCHITECTURE.md, "Departures
+// from the paper").
 #pragma once
 
 #include <array>

@@ -112,33 +112,11 @@ std::pair<std::uint64_t, std::uint64_t> aggregate_fixed_pair_sum(
 // never read the payload).
 void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t value, int bits);
 
-// One round of scatter: sender nodes deliver their payload to every
-// neighbor passing the `active` filter; optionally records who received.
-class ExchangeProgram final : public NodeProgram {
- public:
-  ExchangeProgram(const Graph& g, const std::vector<char>& senders,
-                  const std::vector<std::uint64_t>& payloads, int bits,
-                  const std::vector<char>& active, std::vector<char>* received)
-      : g_(&g), senders_(&senders), payloads_(&payloads), bits_(bits), active_(&active),
-        received_(received) {}
-
-  void init(NodeId v, Outbox& out) override;
-  void on_round(std::int64_t round, NodeId v, const Inbox& in, Outbox& out) override;
-  bool done(std::int64_t rounds) override { return rounds == 1; }
-
- private:
-  const Graph* g_;
-  const std::vector<char>* senders_;
-  const std::vector<std::uint64_t>* payloads_;
-  int bits_;
-  const std::vector<char>* active_;
-  std::vector<char>* received_;
-};
-
 // One round of scatter along explicit per-node target lists (the alive
-// conflict edges of a Lemma 2.1 phase): each sender v delivers the first
-// bandwidth-sized chunk of payloads[v] to every u in targets[v]. Each
-// targets[v] must be an ascending subset of v's adjacency. If `from` is
+// conflict edges of a Lemma 2.1 phase, the active edges of an MIS
+// iteration): each sender v delivers the first bandwidth-sized chunk of
+// payloads[v] to every u in targets[v]. Each targets[v] must be an
+// ascending subset of v's adjacency. If `from` is
 // non-null, (*from)[v] collects the ids v received from, ascending.
 // Callers charge extra pipelined chunks via ParallelEngine::tick.
 class AlongExchangeProgram final : public NodeProgram {

@@ -7,7 +7,8 @@
 // reference. Combined with the shared core in
 // src/coloring/partial_coloring.cpp / theorem11.cpp this yields
 // bit-identical colors, iteration counts, per-iteration stats and
-// Metrics at every thread count.
+// Metrics at every thread count. The derandomized MIS runs on the same
+// transport (runtime::derandomized_mis, mis_program.h).
 #pragma once
 
 #include <cstdint>

@@ -153,7 +153,8 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
   PartialColoringOptions opts;
   opts.family = fam;
   opts.avoid_mis = avoid_mis;
-  PartialColoringStats st = color_one_eighth(net, channel, active, inst, colors, lin.coloring,
+  NetworkColoringTransport transport(net, channel);
+  PartialColoringStats st = color_one_eighth(transport, active, inst, colors, lin.coloring,
                                              lin.num_colors, opts);
 
   // (1) Progress: at least ceil(n/8) colored.

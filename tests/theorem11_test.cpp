@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/coloring/baselines.h"
 #include "src/coloring/theorem11.h"
@@ -109,6 +110,28 @@ TEST(Theorem11, DisconnectedGraphHandled) {
   const ListInstance pristine = inst;
   auto res = theorem11_solve_per_component(g, std::move(inst));
   EXPECT_TRUE(pristine.valid_solution(res.colors));
+}
+
+// Invalid list instances are rejected in every build type, before any
+// solver can divide by an empty candidate range: K4 with 2-color lists
+// used to pass the (assert-only) checks under NDEBUG and crash
+// theorem11_solve with SIGFPE.
+TEST(ListInstanceValidation, RejectsListsShorterThanDegreePlusOne) {
+  const Graph g = make_complete(4);
+  std::vector<std::vector<Color>> lists(4, std::vector<Color>{0, 1});
+  EXPECT_THROW(ListInstance(g, 4, lists), std::invalid_argument);
+  EXPECT_THROW(ListInstance::random_lists(g, 3, 1), std::invalid_argument);
+}
+
+TEST(ListInstanceValidation, RejectsMalformedLists) {
+  const Graph g = make_path(3);
+  using Lists = std::vector<std::vector<Color>>;
+  EXPECT_THROW(ListInstance(g, 8, Lists{{0, 1}, {0, 1, 2}}), std::invalid_argument);
+  EXPECT_THROW(ListInstance(g, 8, Lists{{0, 1}, {0, 1, 1}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(ListInstance(g, 8, Lists{{0, 1}, {0, 1, 8}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(ListInstance(g, 8, Lists{{-1, 1}, {0, 1, 2}, {0, 1}}), std::invalid_argument);
+  const ListInstance ok(g, 8, Lists{{7, 1}, {2, 0, 1}, {0, 1}});
+  EXPECT_EQ(ok.list(0), (std::vector<Color>{1, 7}));
 }
 
 TEST(Baselines, GreedyValid) {
