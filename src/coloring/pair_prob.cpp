@@ -18,8 +18,8 @@ class GenericPairProb final : public PairProbEngine {
 
   void begin_phase(const std::vector<CoinSpec>& specs,
                    const std::vector<ConflictEdge>& edges) override {
-    specs_ = specs;
-    edges_ = edges;
+    specs_ = &specs;
+    edges_ = &edges;
     fixed_.clear();
   }
 
@@ -27,8 +27,8 @@ class GenericPairProb final : public PairProbEngine {
 
   JointDist edge_joint(int e, int cand) override {
     fixed_.push_back(static_cast<std::uint8_t>(cand));
-    const JointDist d =
-        family_->pair_dist(specs_[edges_[e].u], specs_[edges_[e].v], fixed_);
+    const ConflictEdge& ce = (*edges_)[e];
+    const JointDist d = family_->pair_dist((*specs_)[ce.u], (*specs_)[ce.v], fixed_);
     fixed_.pop_back();
     return d;
   }
@@ -37,13 +37,13 @@ class GenericPairProb final : public PairProbEngine {
 
   int coin(NodeId v) const override {
     assert(static_cast<int>(fixed_.size()) == family_->seed_length());
-    return family_->coin(specs_[v], fixed_);
+    return family_->coin((*specs_)[v], fixed_);
   }
 
  private:
   const CoinFamily* family_;
-  std::vector<CoinSpec> specs_;
-  std::vector<ConflictEdge> edges_;
+  const std::vector<CoinSpec>* specs_ = nullptr;  // borrowed for the phase
+  const std::vector<ConflictEdge>* edges_ = nullptr;
   std::vector<std::uint8_t> fixed_;
 };
 
@@ -57,9 +57,33 @@ class GenericPairProb final : public PairProbEngine {
 // <a_t, bits(x)> ^ c_t.
 //
 // Invariant maintained across fix_next_bit calls: all digits < cur_chunk_
-// are constants folded into per-node and per-edge DP states; digit
-// cur_chunk_ is partially substituted; digits > cur_chunk_ are fully free
-// and therefore (for any two distinct colors) independent uniform.
+// are constants; digit cur_chunk_ is partially substituted; digits >
+// cur_chunk_ are fully free and therefore (for any two distinct colors)
+// independent uniform.
+//
+// Only participants — nodes with a random coin, 0 < tau < 2^b — carry
+// state, in `nodes_` at slot `slot_[v]` (-1 for a forced coin, a
+// constant). Every per-bit pass therefore costs O(participants), however
+// large the graph around them is.
+//
+// Since the fixed digits are constants, a participant's comparison of its
+// value against tau is a point mass: still tight (every fixed digit equals
+// tau's), or decided below (coin 1) or not below (coin 0). A decided coin
+// is as constant as a forced one. So p11 = pu * pv unless both endpoints
+// are tight, and no per-edge state exists. This is bit-identical to
+// carrying the probabilities as long doubles (less, tight per node; A..D
+// per edge): those only ever held exact 0s and 1s, so less + tight * x
+// evaluated to exactly x, 1 or 0, and D + B*u + C*v + A*both to exactly
+// one of its terms — and with one endpoint decided, that term (u or v)
+// equals the other endpoint's marginal bit for bit.
+//
+// Per-chunk caches. While chunk t is being fixed, a tight participant's
+// threshold digit tau_t, its tail ldexpl(tau mod 2^r, -r) (r = b-1-t) and
+// its marginal while c_t is free are constant; refresh_cache() computes
+// them at begin_phase and after each c_t fix, with the expressions a
+// query used to evaluate, on the same operands in the same order. Once
+// c_t is the tentative bit the marginal is digit_tail() of the then
+// constant digit, a selection with no arithmetic. No query calls libm.
 class FastBitwisePairProb final : public PairProbEngine {
  public:
   FastBitwisePairProb(std::uint64_t num_input_colors, int b)
@@ -67,43 +91,36 @@ class FastBitwisePairProb final : public PairProbEngine {
 
   void begin_phase(const std::vector<CoinSpec>& specs,
                    const std::vector<ConflictEdge>& edges) override {
-    specs_ = specs;
-    edges_ = edges;
+    specs_ = &specs;
+    edges_ = &edges;
     cur_chunk_ = 0;
     cur_offset_ = 0;
-    node_state_.assign(specs.size(), NodeState{});
+    slot_.assign(specs.size(), -1);
+    nodes_.clear();
+    const std::uint64_t full = std::uint64_t{1} << b_;
     for (std::size_t v = 0; v < specs.size(); ++v) {
-      node_state_[v].known = 0;
-      node_state_[v].tight = 1.0L;
-      node_state_[v].less = 0.0L;
-      node_state_[v].value = 0;
+      if (specs[v].threshold == 0 || specs[v].threshold >= full) continue;
+      slot_[v] = static_cast<int>(nodes_.size());
+      Node p;
+      p.color = specs[v].input_color;
+      p.threshold = specs[v].threshold;
+      refresh_cache(p);
+      nodes_.push_back(p);
     }
-    edge_state_.assign(edges.size(), EdgeState{});
   }
 
   int num_seed_bits() const override { return b_ * (w_ + 1); }
 
   JointDist edge_joint(int e, int cand) override {
-    const NodeId u = edges_[e].u;
-    const NodeId v = edges_[e].v;
-    const CoinSpec& su = specs_[u];
-    const CoinSpec& sv = specs_[v];
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    const bool fu = su.threshold == 0 || su.threshold >= full;
-    const bool fv = sv.threshold == 0 || sv.threshold >= full;
-
-    long double pu;
-    long double pv;
-    long double p11;
-    if (fu || fv) {
-      pu = fu ? (su.threshold ? 1.0L : 0.0L) : marg_prob(u, cand);
-      pv = fv ? (sv.threshold ? 1.0L : 0.0L) : marg_prob(v, cand);
-      p11 = pu * pv;
-    } else {
-      pu = marg_prob(u, cand);
-      pv = marg_prob(v, cand);
-      p11 = joint_prob(e, cand);
-    }
+    const ConflictEdge& ce = (*edges_)[e];
+    const int su = slot_[ce.u];
+    const int sv = slot_[ce.v];
+    const long double pu = marg_prob(ce.u, su, cand);
+    const long double pv = marg_prob(ce.v, sv, cand);
+    const long double p11 = su >= 0 && sv >= 0 && nodes_[su].state == kTight &&
+                                    nodes_[sv].state == kTight
+                                ? joint_prob(nodes_[su], nodes_[sv], cand)
+                                : pu * pv;
     JointDist d;
     d[1][1] = p11;
     d[1][0] = pu - p11;
@@ -117,187 +134,103 @@ class FastBitwisePairProb final : public PairProbEngine {
       // Fixing a_t[cur_offset_]: folds into `known` of nodes whose color
       // has that bit set.
       if (bit) {
-        for (std::size_t v = 0; v < specs_.size(); ++v) {
-          if (specs_[v].input_color >> cur_offset_ & 1) node_state_[v].known ^= 1;
+        for (Node& p : nodes_) {
+          if (p.color >> cur_offset_ & 1) p.known ^= 1;
         }
       }
       ++cur_offset_;
       return;
     }
     // Fixing c_t: the digit becomes the constant known ^ bit for every
-    // node. Advance all DP states one digit.
-    const int t = cur_chunk_;
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    for (std::size_t v = 0; v < specs_.size(); ++v) {
-      NodeState& ns = node_state_[v];
-      const int digit = ns.known ^ bit;
-      ns.value = (ns.value << 1) | static_cast<std::uint64_t>(digit);
-      const CoinSpec& s = specs_[v];
-      if (s.threshold != 0 && s.threshold < full) {
-        const int tau_t = static_cast<int>(s.threshold >> (b_ - 1 - t) & 1);
-        if (digit < tau_t) {
-          ns.less += ns.tight;
-          ns.tight = 0.0L;
-        } else if (digit > tau_t) {
-          ns.tight = 0.0L;
-        }
-        // digit == tau_t: stays tight.
+    // node; it decides every tight node whose digit differs from tau_t.
+    // After the last digit a still-tight value equals tau: not below.
+    ++cur_chunk_;
+    for (Node& p : nodes_) {
+      const int digit = p.known ^ bit;
+      p.known = 0;
+      if (p.state != kTight) continue;
+      if (digit != p.tau) {
+        p.state = digit < p.tau ? kBelow : kNotBelow;
+      } else if (cur_chunk_ == b_) {
+        p.state = kNotBelow;
+      } else {
+        refresh_cache(p);
       }
-      ns.known = 0;
-    }
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-      EdgeState& es = edge_state_[e];
-      const NodeId u = edges_[e].u;
-      const NodeId v = edges_[e].v;
-      const int du = static_cast<int>(node_state_[u].value & 1);
-      const int dv = static_cast<int>(node_state_[v].value & 1);
-      advance_edge(es, specs_[u], specs_[v], t, du, dv);
     }
     cur_offset_ = 0;
-    ++cur_chunk_;
   }
 
   int coin(NodeId v) const override {
     assert(cur_chunk_ == b_);
-    const CoinSpec& s = specs_[v];
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    if (s.threshold == 0) return 0;
-    if (s.threshold >= full) return 1;
-    return node_state_[v].value < s.threshold ? 1 : 0;
+    const int s = slot_[v];
+    if (s < 0) return (*specs_)[v].threshold != 0 ? 1 : 0;
+    return nodes_[s].state == kBelow ? 1 : 0;
   }
 
  private:
-  struct NodeState {
-    int known = 0;            // folded-in part of the current chunk's digit
-    std::uint64_t value = 0;  // digits of completed chunks
-    long double tight = 1.0L;
-    long double less = 0.0L;
-  };
-  // Joint DP over completed digits: A = both tight, B = u tight & v less,
-  // C = u less & v tight, D = both less.
-  struct EdgeState {
-    long double A = 1.0L, B = 0.0L, C = 0.0L, D = 0.0L;
+  enum State : std::uint8_t { kTight, kBelow, kNotBelow };
+  struct Node {
+    // Per-chunk cache of a tight node (see the class comment).
+    long double tail = 0.0L;    // ldexpl(tau mod 2^r, -r)
+    long double m_free = 0.0L;  // Pr[value < tau] while c_t is free
+    std::uint64_t color = 0;      // input color
+    std::uint64_t threshold = 0;  // tau, 0 < tau < 2^b
+    std::uint8_t known = 0;       // folded-in part of the current chunk's digit
+    State state = kTight;
+    std::uint8_t tau = 0;  // threshold digit tau_t
   };
 
-  void advance_edge(EdgeState& es, const CoinSpec& su, const CoinSpec& sv, int t, int du,
-                    int dv) const {
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    if (su.threshold == 0 || su.threshold >= full || sv.threshold == 0 ||
-        sv.threshold >= full) {
-      return;  // forced coins never consult the edge DP
-    }
-    const int tu = static_cast<int>(su.threshold >> (b_ - 1 - t) & 1);
-    const int tv = static_cast<int>(sv.threshold >> (b_ - 1 - t) & 1);
-    // Point-mass transition at (du, dv).
-    const int u_out = du < tu ? -1 : (du == tu ? 0 : 1);  // -1 less, 0 tight, 1 greater
-    const int v_out = dv < tv ? -1 : (dv == tv ? 0 : 1);
-    long double nA = 0, nB = 0, nC = 0, nD = es.D;
-    if (u_out == 0 && v_out == 0) nA = es.A;
-    if (u_out == 0 && v_out == -1) nB += es.A;
-    if (u_out == -1 && v_out == 0) nC += es.A;
-    if (u_out == -1 && v_out == -1) nD += es.A;
-    if (u_out == 0) nB += es.B;
-    if (u_out == -1) nD += es.B;
-    if (v_out == 0) nC += es.C;
-    if (v_out == -1) nD += es.C;
-    es.A = nA;
-    es.B = nB;
-    es.C = nC;
-    es.D = nD;
-  }
-
-  // Distribution of the current chunk's digit for node v, given that bit
-  // `cand` is tentatively assigned to the next seed bit. Returns
-  // (p_digit_is_1, determined) — when the chunk is incomplete the digit is
-  // uniform unless all remaining variables vanish (impossible before c_t
-  // is fixed, since c_t is last), except when the tentative bit IS c_t.
-  struct DigitDist {
-    long double p1;
-    bool determined;
-    int value;  // meaningful when determined
-  };
-  DigitDist digit_dist(NodeId v, int cand) const {
-    const NodeState& ns = node_state_[v];
-    if (cur_offset_ == w_) {
-      // Tentative bit is c_t: digit = known ^ cand, a constant.
-      return DigitDist{0.0L, true, ns.known ^ cand};
-    }
-    // c_t still free: digit is a fresh uniform bit regardless of cand.
-    (void)cand;
-    return DigitDist{0.5L, false, 0};
-  }
-
-  // Pr[value_v < tau_v | fixed prefix + cand].
-  long double marg_prob(NodeId v, int cand) const {
-    const CoinSpec& s = specs_[v];
-    const NodeState& ns = node_state_[v];
+  // Recomputes a tight node's caches for chunk cur_chunk_ < b_.
+  void refresh_cache(Node& p) const {
     const int t = cur_chunk_;
-    if (t == b_) {
-      // All digits fixed (can happen when edge_joint is queried after the
-      // final fix; only coin() should be used then, but be safe).
-      return ns.value < s.threshold ? 1.0L : 0.0L;
-    }
-    const int tau_t = static_cast<int>(s.threshold >> (b_ - 1 - t) & 1);
+    p.tau = static_cast<std::uint8_t>(p.threshold >> (b_ - 1 - t) & 1);
     const int r = b_ - t - 1;  // digits after t
-    const std::uint64_t tau_low = s.threshold & ((r == 0) ? 0 : ((std::uint64_t{1} << r) - 1));
-    const long double tail_tight = ldexpl(static_cast<long double>(tau_low), -r);
-    const DigitDist dd = digit_dist(v, cand);
-    long double cur;  // Pr[suffix from digit t < tau suffix from digit t]
-    if (dd.determined) {
-      if (dd.value < tau_t) {
-        cur = 1.0L;
-      } else if (dd.value > tau_t) {
-        cur = 0.0L;
-      } else {
-        cur = tail_tight;
-      }
-    } else {
-      const long double p1 = dd.p1;
-      const long double p0 = 1.0L - p1;
-      cur = (tau_t == 1 ? p0 : 0.0L) + (tau_t == 1 ? p1 : p0) * tail_tight;
-    }
-    return ns.less + ns.tight * cur;
+    const std::uint64_t tau_low = p.threshold & ((r == 0) ? 0 : ((std::uint64_t{1} << r) - 1));
+    p.tail = ldexpl(static_cast<long double>(tau_low), -r);
+    // c_t still free: digit t is a fresh uniform bit regardless of cand.
+    const long double p1 = 0.5L;
+    const long double p0 = 1.0L - p1;
+    p.m_free = (p.tau == 1 ? p0 : 0.0L) + (p.tau == 1 ? p1 : p0) * p.tail;
   }
 
-  // Pr[value_u < tau_u AND value_v < tau_v | fixed prefix + cand].
-  long double joint_prob(int e, int cand) const {
-    const NodeId u = edges_[e].u;
-    const NodeId v = edges_[e].v;
-    const CoinSpec& su = specs_[u];
-    const CoinSpec& sv = specs_[v];
-    const EdgeState& es = edge_state_[e];
-    const int t = cur_chunk_;
-    if (t == b_) {
-      return (node_state_[u].value < su.threshold && node_state_[v].value < sv.threshold)
-                 ? 1.0L
-                 : 0.0L;
-    }
-    const int r = b_ - t - 1;
-    const int tu = static_cast<int>(su.threshold >> (b_ - 1 - t) & 1);
-    const int tv = static_cast<int>(sv.threshold >> (b_ - 1 - t) & 1);
-    const std::uint64_t mask_low = (r == 0) ? 0 : ((std::uint64_t{1} << r) - 1);
-    const long double tail_u = ldexpl(static_cast<long double>(su.threshold & mask_low), -r);
-    const long double tail_v = ldexpl(static_cast<long double>(sv.threshold & mask_low), -r);
+  // Pr[suffix from digit t < tau suffix from digit t | digit t = x].
+  static long double digit_tail(int x, const Node& p) {
+    if (x < p.tau) return 1.0L;
+    if (x > p.tau) return 0.0L;
+    return p.tail;
+  }
 
+  // Pr[C_v = 1 | fixed prefix + cand] for node v at slot s. When the
+  // tentative bit is c_t the current digit is the constant known ^ cand;
+  // otherwise c_t is still free and the digit is uniform whatever cand is.
+  long double marg_prob(NodeId v, int s, int cand) const {
+    if (s < 0) return (*specs_)[v].threshold ? 1.0L : 0.0L;
+    const Node& p = nodes_[s];
+    if (p.state != kTight) return p.state == kBelow ? 1.0L : 0.0L;
+    return cur_offset_ == w_ ? digit_tail(p.known ^ cand, p) : p.m_free;
+  }
+
+  // Pr[value_u < tau_u AND value_v < tau_v | fixed prefix + cand] for two
+  // tight nodes.
+  long double joint_prob(const Node& pu, const Node& pv, int cand) const {
     // Joint distribution of the current digit pair given the tentative bit.
     // Colors of adjacent nodes differ; whether the two digit forms share
     // the same remaining variable set decides correlation.
     JointDist q{};
-    const DigitDist dqu = digit_dist(u, cand);
-    const DigitDist dqv = digit_dist(v, cand);
-    if (dqu.determined && dqv.determined) {
-      q[dqu.value][dqv.value] = 1.0L;
+    if (cur_offset_ == w_) {
+      // Tentative bit is c_t: both digits are constants.
+      q[pu.known ^ cand][pv.known ^ cand] = 1.0L;
     } else {
       // c_t is still free for both, so both digits are uniform; they are
       // equal up to the xor of the remaining a_t-part parities. They are
       // perfectly correlated iff the remaining color-bit sets coincide.
       const std::uint64_t rem_mask = cur_offset_ >= 64 ? 0 : (~std::uint64_t{0} << cur_offset_);
-      std::uint64_t rem_u = specs_[u].input_color & rem_mask;
-      std::uint64_t rem_v = specs_[v].input_color & rem_mask;
-      int ku = node_state_[u].known;
-      int kv = node_state_[v].known;
+      std::uint64_t rem_u = pu.color & rem_mask;
+      std::uint64_t rem_v = pv.color & rem_mask;
+      int ku = pu.known;
+      int kv = pv.known;
       // Account for the tentative bit cand at position cur_offset_ (an
-      // a_t bit, since the determined/determined case above covers c_t).
+      // a_t bit, since the branch above covers c_t).
       if (cand && (rem_u >> cur_offset_ & 1)) ku ^= 1;
       if (cand && (rem_v >> cur_offset_ & 1)) kv ^= 1;
       rem_u &= ~(std::uint64_t{1} << cur_offset_);
@@ -316,38 +249,23 @@ class FastBitwisePairProb final : public PairProbEngine {
 
     // Tail factors: after digit t all chunks are free, so the two suffixes
     // are independent uniform r-bit values.
-    auto fu = [&](int x) -> long double {
-      if (x < tu) return 1.0L;
-      if (x > tu) return 0.0L;
-      return tail_u;
-    };
-    auto fv = [&](int y) -> long double {
-      if (y < tv) return 1.0L;
-      if (y > tv) return 0.0L;
-      return tail_v;
-    };
     long double both_tail = 0.0L;
-    long double u_tail = 0.0L;  // Pr[u suffix < tau_u suffix from digit t]
-    long double v_tail = 0.0L;
     for (int x = 0; x < 2; ++x) {
-      const long double qu = q[x][0] + q[x][1];
-      u_tail += qu * fu(x);
       for (int y = 0; y < 2; ++y) {
-        both_tail += q[x][y] * fu(x) * fv(y);
-        if (x == 0) v_tail += (q[0][y] + q[1][y]) * fv(y);
+        both_tail += q[x][y] * digit_tail(x, pu) * digit_tail(y, pv);
       }
     }
-    return es.D + es.B * u_tail + es.C * v_tail + es.A * both_tail;
+    return both_tail;
   }
 
   int w_;
   int b_;
   int cur_chunk_ = 0;
   int cur_offset_ = 0;
-  std::vector<CoinSpec> specs_;
-  std::vector<ConflictEdge> edges_;
-  std::vector<NodeState> node_state_;
-  std::vector<EdgeState> edge_state_;
+  const std::vector<CoinSpec>* specs_ = nullptr;  // borrowed for the phase
+  const std::vector<ConflictEdge>* edges_ = nullptr;
+  std::vector<int> slot_;    // per node: index into nodes_, -1 if forced
+  std::vector<Node> nodes_;  // participants, ascending node id
 };
 
 }  // namespace

@@ -11,9 +11,18 @@
 //    reference implementation in tests).
 //  * FastBitwisePairProb exploits the chunked structure of the bitwise
 //    family: once a chunk (one output digit's seed bits) is fully fixed,
-//    that digit is a constant; per-edge/per-node DP states advance one
-//    digit and never revisit it, and the unfixed digits have a closed-form
-//    uniform tail. Cost per (edge, seed bit, candidate): O(1).
+//    that digit is a constant, so each participant (0 < tau < 2^b) is
+//    either still tight against its threshold or decided, and the unfixed
+//    digits have a closed-form uniform tail. Cost per (edge, seed bit,
+//    candidate): O(1), with no libm call — what is constant for a whole
+//    chunk (a tight node's threshold digit tau_t, its tail
+//    ldexpl(tau mod 2^r, -r) and its marginal while c_t is free) is
+//    cached per participant at begin_phase and after each c_t fix. The
+//    per-bit passes (the a_t fold, the c_t advance with the cache
+//    refresh) visit participants only, not all n nodes, and no state is
+//    kept per edge. Proof obligation: every returned long double is
+//    bit-identical to evaluating each query from scratch (the argument is
+//    in the .cpp; tests/pair_prob_test.cpp pins the exact bits).
 //
 // Both engines are exact (up to long-double rounding, see
 // docs/ARCHITECTURE.md, "Departures from the paper").
@@ -37,7 +46,9 @@ class PairProbEngine {
   virtual ~PairProbEngine() = default;
 
   // Starts a phase. specs[v] is meaningful for participating nodes; edges
-  // index into `edges`. Resets all fixed seed bits.
+  // index into `edges`. Resets all fixed seed bits. Both vectors are
+  // borrowed, not copied: they must stay alive and unchanged until the
+  // phase's last coin() call.
   virtual void begin_phase(const std::vector<CoinSpec>& specs,
                            const std::vector<ConflictEdge>& edges) = 0;
 

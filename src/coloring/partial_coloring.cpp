@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "src/coloring/seed_fixing.h"
 #include "src/hash/bitwise_family.h"
@@ -160,7 +161,9 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
           });
       const int split = static_cast<int>(first1 - L.begin());
       range[v] = c ? Range{split, r.hi} : Range{r.lo, split};
-      assert(range[v].size() >= 1 && "candidate list must never become empty");
+      if (range[v].size() < 1) {
+        throw std::logic_error("color_one_eighth: candidate range became empty");
+      }
     }
     // One round: exchange the new prefix bit with alive conflict neighbors.
     {

@@ -66,6 +66,7 @@ struct PartialColoringStats {
 //  * colors         — output coloring (kUncolored entries get filled).
 //  * input_coloring — proper K-coloring of the active subgraph.
 //  * K              — number of input colors.
+// Throws std::logic_error if a node's candidate range becomes empty.
 PartialColoringStats color_one_eighth(ColoringTransport& transport, InducedSubgraph& active,
                                       ListInstance& inst, std::vector<Color>& colors,
                                       const std::vector<std::int64_t>& input_coloring,

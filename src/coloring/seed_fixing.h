@@ -11,13 +11,19 @@
 //
 // A node's share is a sum of per-edge terms over the conflict edges, so
 // the objective enters as `edge_term(e, J, x)`: add edge e's contribution
-// under the joint coin distribution J into x. For each edge in order it
-// is called for candidate 0 (x = x0), then candidate 1 (x = x1); the
-// per-node `node_offset` is added after the edge pass. Every long double
-// addition therefore happens in one fixed order on every transport.
+// under the joint coin distribution J into x. It may write only
+// x[edges[e].u] and x[edges[e].v]. For each edge in order it is called for
+// candidate 0 (x = x0), then candidate 1 (x = x1); the per-node
+// `node_offset` is added after the edge pass. Every long double addition
+// therefore happens in one fixed order on every transport.
+//
+// Per-bit cost is O(edges + their endpoints), not O(n): only the entries
+// the edge pass writes are reset between bits. Every other entry holds
+// 0.0L + node_offset for the whole phase — exactly the value a full reset
+// followed by the offset pass computed for it, so the aggregated sums are
+// bit-identical.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -37,11 +43,22 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine,
                    SeedGoal goal, long double node_offset, EdgeTerm&& edge_term) {
   engine.begin_phase(specs, edges);
   const std::size_t n = static_cast<std::size_t>(t.graph().num_nodes());
-  std::vector<long double> x0(n), x1(n);
+  std::vector<long double> x0(n, 0.0L + node_offset), x1(n, 0.0L + node_offset);
+  std::vector<NodeId> written;  // edge endpoints, each once
+  {
+    std::vector<char> seen(n, 0);
+    for (const ConflictEdge& e : edges) {
+      for (NodeId v : {e.u, e.v}) {
+        if (!seen[v]) {
+          seen[v] = 1;
+          written.push_back(v);
+        }
+      }
+    }
+  }
   const int d = engine.num_seed_bits();
   for (int j = 0; j < d; ++j) {
-    std::fill(x0.begin(), x0.end(), 0.0L);
-    std::fill(x1.begin(), x1.end(), 0.0L);
+    for (NodeId v : written) x0[v] = x1[v] = 0.0L;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       const JointDist J0 = engine.edge_joint(static_cast<int>(e), 0);
       const JointDist J1 = engine.edge_joint(static_cast<int>(e), 1);
@@ -49,7 +66,7 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine,
       edge_term(e, J1, x1);
     }
     if (node_offset != 0.0L) {
-      for (std::size_t v = 0; v < n; ++v) {
+      for (NodeId v : written) {
         x0[v] += node_offset;
         x1[v] += node_offset;
       }

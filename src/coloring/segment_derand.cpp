@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/hash/coin_family.h"  // threshold_for
 
@@ -58,14 +59,49 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
   SegmentDerandResult res;
   res.selected.assign(n, -1);
 
+  // The nodes the objective reads: active nodes and their conflict
+  // neighbors, ascending. Per-chunk and per-candidate work runs over them
+  // only.
+  std::vector<NodeId> involved;
+  {
+    std::vector<char> mark(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      if (!specs[v].active) continue;
+      mark[v] = 1;
+      for (NodeId u : conflict[v]) mark[u] = 1;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (mark[v]) involved.push_back(v);
+    }
+  }
+  // prob[first[v] + 2*g + x] = Pr[h_v in subrange g | digits fixed so far,
+  // digit t = x], tabulated once per chunk t.
+  std::vector<std::size_t> first(n, 0);
+  std::size_t table_size = 0;
+  for (NodeId v : involved) {
+    first[v] = table_size;
+    table_size += 2 * specs[v].counts.size();
+  }
+  std::vector<long double> prob(table_size);
+
   std::vector<std::uint64_t> hash_prefix(n, 0);
   std::vector<ChunkForm> form(n);
+  std::vector<ChunkForm> cand_form(n);
   const std::uint64_t a_mask = (w >= 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
 
   for (int t = 0; t < b; ++t) {
-    for (NodeId v = 0; v < n; ++v) {
+    const int r_after = b - t - 1;
+    for (NodeId v : involved) {
       form[v].free_mask = (specs[v].id & a_mask) | (std::uint64_t{1} << w);
       form[v].known = 0;
+      const std::vector<std::uint64_t>& bounds = specs[v].bounds;
+      for (std::size_t g = 0; g < specs[v].counts.size(); ++g) {
+        for (int x = 0; x < 2; ++x) {
+          prob[first[v] + 2 * g + static_cast<std::size_t>(x)] =
+              interval_prob(bounds[g], bounds[g + 1],
+                            (hash_prefix[v] << 1) | static_cast<unsigned>(x), r_after);
+        }
+      }
     }
     int bit_pos = 0;
     while (bit_pos < w + 1) {
@@ -74,16 +110,17 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
       long double best_val = 0;
       int best_r = -1;
       for (int R = 0; R < num_cand; ++R) {
+        for (NodeId v : involved) {
+          cand_form[v] = form[v];
+          substitute(cand_form[v], bit_pos, seg, R);
+        }
         long double sum = 0;
         for (NodeId v = 0; v < n; ++v) {
           if (!specs[v].active) continue;
-          ChunkForm fv = form[v];
-          substitute(fv, bit_pos, seg, R);
-          const int r_after = b - t - 1;
+          const ChunkForm& fv = cand_form[v];
           for (std::size_t j = 0; j < conflict[v].size(); ++j) {
             const NodeId u = conflict[v][j];
-            ChunkForm fu = form[u];
-            substitute(fu, bit_pos, seg, R);
+            const ChunkForm& fu = cand_form[u];
             long double q[2][2] = {{0, 0}, {0, 0}};
             if (fv.free_mask == 0 && fu.free_mask == 0) {
               q[fv.known][fu.known] = 1.0L;
@@ -98,17 +135,13 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
               q[0][0] = q[0][1] = q[1][0] = q[1][1] = 0.25L;
             }
             auto joint_pg = [&](std::size_t gv, std::size_t gu) {
+              const long double* pv = &prob[first[v] + 2 * gv];
+              const long double* pu = &prob[first[u] + 2 * gu];
               long double p_both = 0;
               for (int x = 0; x < 2; ++x) {
                 for (int y = 0; y < 2; ++y) {
                   if (q[x][y] == 0.0L) continue;
-                  const long double pv = interval_prob(
-                      specs[v].bounds[gv], specs[v].bounds[gv + 1],
-                      (hash_prefix[v] << 1) | static_cast<unsigned>(x), r_after);
-                  const long double pu = interval_prob(
-                      specs[u].bounds[gu], specs[u].bounds[gu + 1],
-                      (hash_prefix[u] << 1) | static_cast<unsigned>(y), r_after);
-                  p_both += q[x][y] * pv * pu;
+                  p_both += q[x][y] * pv[x] * pu[y];
                 }
               }
               return p_both;
@@ -134,12 +167,12 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
           best_r = R;
         }
       }
-      for (NodeId v = 0; v < n; ++v) substitute(form[v], bit_pos, seg, best_r);
+      for (NodeId v : involved) substitute(form[v], bit_pos, seg, best_r);
       bit_pos += seg;
       ++res.segments_fixed;
       on_segment();
     }
-    for (NodeId v = 0; v < n; ++v) {
+    for (NodeId v : involved) {
       assert(form[v].free_mask == 0);
       hash_prefix[v] = (hash_prefix[v] << 1) | static_cast<unsigned>(form[v].known);
     }
@@ -154,7 +187,11 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
         break;
       }
     }
-    assert(res.selected[v] >= 0 && specs[v].counts[res.selected[v]] > 0);
+    if (res.selected[v] < 0 || specs[v].counts[res.selected[v]] == 0) {
+      throw std::logic_error(
+          "segment_derand_step: an active node's hash selected no subrange with a positive "
+          "count");
+    }
   }
   return res;
 }

@@ -9,6 +9,18 @@
 // independent uniform digits (distinct input ids), conditional interval
 // probabilities reduce to O(1) interval-intersection arithmetic.
 //
+// Per-chunk caches. While chunk t is being fixed, a node's interval
+// probability Pr[h in subrange g | fixed digits, digit t = x] depends on
+// neither the candidate segment assignment nor the neighbor, so it is
+// tabulated once per (node, subrange, digit) per chunk; a candidate is
+// substituted into each node's chunk form once per (candidate, node), not
+// once per directed edge. Both passes run over the nodes the objective
+// reads (active nodes and their conflict neighbors) only. Proof
+// obligation: the tables hold the very values the per-edge evaluation
+// computed, and the summation order (candidate, v, j, g, x, y) is
+// unchanged, so every candidate's sum — and every choice — is
+// bit-identical (tests/golden_test.cpp pins the clique and MPC results).
+//
 // This module is pure math — no communication. The caller owns round
 // accounting and invokes `on_segment` once per fixed segment (clique: 3
 // direct rounds; MPC: one aggregation-tree pass).
@@ -58,6 +70,9 @@ using EdgePairsFn =
 //  * b          — hash precision bits (chunks)
 //  * lambda     — max segment length in bits (<= machine/clique capacity)
 //  * on_segment — called after each segment is fixed (for round charging)
+// Throws std::logic_error if an active node's hash lands in no subrange
+// with a positive count (its bounds do not cover [0, 2^b) or every count
+// is 0) — callers never build such specs.
 SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
                                         const std::vector<std::vector<NodeId>>& conflict,
                                         int w, int b, int lambda,

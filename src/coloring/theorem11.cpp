@@ -1,7 +1,7 @@
 #include "src/coloring/theorem11.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "src/coloring/linial.h"
@@ -25,7 +25,10 @@ int list_color_subset(ColoringTransport& t, InducedSubgraph& active, ListInstanc
         color_one_eighth(t, active, inst, colors, input_coloring, K, opts);
     if (stats != nullptr) stats->push_back(st);
     ++iterations;
-    assert(st.newly_colored >= 1 && "Lemma 2.1 guarantees progress");
+    if (st.newly_colored < 1) {
+      // Lemma 2.1 guarantees progress; without it this loop never ends.
+      throw std::logic_error("Lemma 2.1 iteration made no progress");
+    }
     remaining -= st.newly_colored;
     if (iter_span.live()) {
       iter_span.arg("iteration", iterations);

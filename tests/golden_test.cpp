@@ -1,19 +1,25 @@
-// Golden pins: exact outputs and CONGEST costs of the seed-fixing
-// pipelines on two small seeded graphs. The parity suites compare the
-// Network reference against the engine, so a change that alters
-// seed-fixing decisions identically on both executors passes them; these
-// pins catch it. The expected values were recorded before the MIS moved
-// onto ColoringTransport and the two seed-bit loops were merged, and must
-// not change without a deliberate, documented re-pin.
+// Golden pins: exact outputs and communication costs of the seed-fixing
+// pipelines on small seeded graphs. The parity suites compare the Network
+// reference against the engine, so a change that alters seed-fixing
+// decisions identically on both executors passes them; these pins catch
+// it. The MIS and Theorem 1.1 values were recorded before the MIS moved
+// onto ColoringTransport and the two seed-bit loops were merged; the
+// clique, MPC and Corollary 1.2 values before the conditional-expectation
+// evaluators read per-chunk caches. None may change without a deliberate,
+// documented re-pin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "src/clique/clique_coloring.h"
 #include "src/coloring/derand_mis.h"
 #include "src/coloring/theorem11.h"
+#include "src/decomposition/corollary12.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/mpc/mpc_coloring.h"
+#include "src/runtime/corollary12_program.h"
 #include "src/runtime/mis_program.h"
 
 namespace dcolor {
@@ -43,6 +49,10 @@ struct Pin {
 // is connected.
 Graph golden_graph(int which) {
   return which == 0 ? make_gnp(60, 0.05, 11) : make_near_regular(48, 5, 23);
+}
+
+ListInstance golden_lists(const Graph& g) {
+  return ListInstance::random_lists(g, 4 * (g.max_degree() + 1), 5);
 }
 
 void expect_pin(const Pin& want, std::uint64_t checksum, const congest::Metrics& m,
@@ -125,10 +135,108 @@ TEST(Golden, Theorem11Network) {
     for (int which = 0; which < 2; ++which) {
       SCOPED_TRACE(testing::Message() << c.name << " graph " << which);
       const Graph g = golden_graph(which);
-      const ListInstance inst = ListInstance::random_lists(g, 4 * (g.max_degree() + 1), 5);
+      const ListInstance inst = golden_lists(g);
       const Theorem11Result res = theorem11_solve_per_component(g, inst, c.opts);
       ASSERT_TRUE(inst.valid_solution(res.colors));
       expect_pin(c.pins[which], fnv1a(res.colors), res.metrics, res.iterations);
+    }
+  }
+}
+
+// Theorem 1.3: segment-granular seed fixing with direct clique rounds.
+TEST(Golden, CliqueColoring) {
+  constexpr Pin kPins[2] = {
+      {0x78fbfc167e94c9dbull, 228, 753, 9261, 3},
+      {0x8160448148ac439full, 210, 1205, 14091, 3},
+  };
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE(which);
+    const Graph g = golden_graph(which);
+    const ListInstance inst = golden_lists(g);
+    const clique::CliqueColoringResult res = clique::clique_list_coloring(g, inst);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    expect_pin(kPins[which], fnv1a(res.colors), res.metrics, res.derand_passes);
+  }
+}
+
+// MPC pins: `words` is the MPC analogue of messages; perfbench reports
+// 64 x words as its bit count, so words pin the bits too.
+struct MpcPin {
+  std::uint64_t checksum;
+  std::int64_t rounds;
+  std::int64_t words;
+  std::int64_t max_round_load;
+  int derand_passes;
+  int lemma42_passes;
+};
+
+void expect_mpc_pin(const MpcPin& want, const mpc::MpcColoringResult& res) {
+  EXPECT_EQ(fnv1a(res.colors), want.checksum);
+  EXPECT_EQ(res.metrics.rounds, want.rounds);
+  EXPECT_EQ(res.metrics.words_communicated, want.words);
+  EXPECT_EQ(res.metrics.max_round_load, want.max_round_load);
+  EXPECT_EQ(res.derand_passes, want.derand_passes);
+  EXPECT_EQ(res.lemma42_passes, want.lemma42_passes);
+}
+
+// Theorem 1.4 (S = Theta(n)): lambda-bit segments, diagonal objective.
+TEST(Golden, MpcLinear) {
+  constexpr MpcPin kPins[2] = {
+      {0x9473819b6a00024aull, 129, 2721, 172, 5, 0},
+      {0xe2bf52987d702e15ull, 119, 4218, 148, 5, 0},
+  };
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE(which);
+    const Graph g = golden_graph(which);
+    const ListInstance inst = golden_lists(g);
+    const mpc::MpcColoringResult res = mpc::mpc_list_coloring_linear(g, inst);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    expect_mpc_pin(kPins[which], res);
+  }
+}
+
+// Theorem 1.5 (S = Theta(n^alpha)). Low degree and a generous alpha hand
+// the run to the Lemma 4.2 finisher, whose segment fixing evaluates
+// color-value matchings (the `edge_pairs` objective).
+TEST(Golden, MpcSublinearWithLemma42) {
+  constexpr MpcPin kPin = {0xefaaf7f5dbcbef00ull, 693, 46246, 28, 5, 1};
+  const Graph g = make_near_regular(64, 4, 7);
+  const ListInstance inst = golden_lists(g);
+  const mpc::MpcColoringResult res = mpc::mpc_list_coloring_sublinear(g, inst, 0.9);
+  ASSERT_TRUE(inst.valid_solution(res.colors));
+  ASSERT_GT(res.lemma42_passes, 0);
+  expect_mpc_pin(kPin, res);
+}
+
+// Corollary 1.2: Theorem 1.1 per cluster of a network decomposition.
+// `iterations` pins the charged coloring rounds (kappa included).
+constexpr Pin kCorollary12Pins[2] = {
+    {0xf764e2dada368ba0ull, 7736, 30232, 430796, 7608},
+    {0x9a53f118d9d3343dull, 3444, 27812, 389336, 3384},
+};
+
+TEST(Golden, Corollary12Network) {
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE(which);
+    const Graph g = golden_graph(which);
+    const ListInstance inst = golden_lists(g);
+    const Corollary12Result res = corollary12_solve(g, inst);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    expect_pin(kCorollary12Pins[which], fnv1a(res.colors), res.metrics,
+               static_cast<int>(res.coloring_rounds));
+  }
+}
+
+TEST(Golden, Corollary12Engine) {
+  for (int which = 0; which < 2; ++which) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << which << " t=" << threads);
+      const Graph g = golden_graph(which);
+      const ListInstance inst = golden_lists(g);
+      const Corollary12Result res = runtime::corollary12_coloring(g, inst, threads);
+      ASSERT_TRUE(inst.valid_solution(res.colors));
+      expect_pin(kCorollary12Pins[which], fnv1a(res.colors), res.metrics,
+                 static_cast<int>(res.coloring_rounds));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/coloring/segment_derand.h"
 #include "src/hash/coin_family.h"
@@ -150,6 +151,30 @@ TEST(SegmentDerand, EdgePairObjectiveAvoidsMatchingColors) {
       specs, conflict, 1, b, 2, [] {},
       [&](NodeId, std::size_t) -> const std::vector<ConflictPair>& { return clash; });
   EXPECT_NE(res.selected[0], res.selected[1]);
+}
+
+// An active node whose counts are all 0 has no selectable subrange. The
+// check is an invariant of every caller, and it must throw in release
+// builds too instead of returning -1 (or an empty subrange) as a choice.
+TEST(SegmentDerand, AllZeroCountsThrow) {
+  const int b = 6;
+  const std::uint64_t full = std::uint64_t{1} << b;
+  // Empty subranges have equal bounds, so no subrange covers the hash;
+  // and bounds that do cover it, but only subranges with no colors.
+  for (const std::vector<std::uint64_t>& bounds :
+       {std::vector<std::uint64_t>{0, 0, 0}, std::vector<std::uint64_t>{0, full / 2, full}}) {
+    std::vector<MultiwaySpec> specs(2);
+    for (int v = 0; v < 2; ++v) {
+      specs[v].active = true;
+      specs[v].id = static_cast<std::uint64_t>(v);
+      specs[v].counts = {1, 1};
+      specs[v].bounds = multiway_bounds(specs[v].counts, b);
+    }
+    specs[1].counts = {0, 0};
+    specs[1].bounds = bounds;
+    std::vector<std::vector<NodeId>> conflict = {{1}, {0}};
+    EXPECT_THROW(segment_derand_step(specs, conflict, 1, b, 2, [] {}), std::logic_error);
+  }
 }
 
 }  // namespace
