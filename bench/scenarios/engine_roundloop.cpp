@@ -13,7 +13,12 @@
 //     rosters whose only traffic is 1-bit flag-plane joins — the purest
 //     per-round overhead probe the pipeline has.
 //
-// Both verify against straight sequential recomputation, so a dispatch
+//   engine.roundloop.bfsbuild — repeated BFS-tree builds by flooding on
+//     a path from one end: n+1 rounds whose frontier is a single node, so
+//     a build that dispatched every node each round (O(n * depth))
+//     instead of the frontier (O(n + m)) shows up as a ~n-fold slowdown.
+//
+// All verify against straight sequential recomputation, so a dispatch
 // or flag-plane bug fails the bench rather than shipping as a speedup.
 #include <cstdint>
 #include <memory>
@@ -112,6 +117,57 @@ REGISTER_SCENARIO(Scenario{
         o.metrics = eng->metrics();
         o.checksum = benchkit::checksum_bits(in_mis);
         o.verified = is_mis(*active, in_mis);
+        return o;
+      }};
+    }});
+
+// Builds per timed execution: one quick-size build is well under a
+// millisecond once the flood costs O(n + m).
+constexpr int kBuilds = 16;
+
+REGISTER_SCENARIO(Scenario{
+    "engine.roundloop.bfsbuild",
+    "Repeated BFS-tree builds by flooding on a path from one end: n+1 one-node frontiers",
+    "path", "roundloop", "engine", /*parity=*/"", /*scalable=*/true,
+    [](const RunConfig& c) {
+      const NodeId n = static_cast<NodeId>(benchkit::pick_n(c, 20000, 4000));
+      auto g = std::make_shared<Graph>(make_path(n));
+      auto eng = std::make_shared<runtime::ParallelEngine>(*g, c.threads);
+      auto tree = std::make_shared<runtime::TreeData>();
+      // Sequential reference: queue BFS from 0 whose parent is the
+      // smallest-id neighbor one level up, as the flood picks it.
+      auto want_level = std::make_shared<std::vector<int>>(static_cast<std::size_t>(n), -1);
+      auto want_parent = std::make_shared<std::vector<NodeId>>(static_cast<std::size_t>(n), -1);
+      std::vector<NodeId> queue = {0};
+      (*want_level)[0] = 0;
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        const NodeId u = queue[i];
+        for (const NodeId w : g->neighbors(u)) {
+          if ((*want_level)[w] < 0) {
+            (*want_level)[w] = (*want_level)[u] + 1;
+            (*want_parent)[w] = u;
+            queue.push_back(w);
+          } else if ((*want_level)[w] == (*want_level)[u] + 1 && u < (*want_parent)[w]) {
+            (*want_parent)[w] = u;
+          }
+        }
+      }
+      return Prepared{[g, eng, tree, want_level, want_parent, seed = c.seed] {
+        eng->reset_metrics();
+        bool ok = true;
+        for (int b = 0; b < kBuilds; ++b) {
+          runtime::build_tree_data(*eng, 0, tree.get());
+          ok = ok && tree->level == *want_level && tree->parent == *want_parent;
+        }
+        std::vector<std::int64_t> flat(tree->level.begin(), tree->level.end());
+        flat.insert(flat.end(), tree->parent.begin(), tree->parent.end());
+        Outcome o;
+        o.n = g->num_nodes();
+        o.m = g->num_edges();
+        o.seed = seed;
+        o.metrics = eng->metrics();
+        o.checksum = benchkit::checksum_values(flat);
+        o.verified = ok;
         return o;
       }};
     }});

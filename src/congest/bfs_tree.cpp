@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/util/bits.h"
 
@@ -11,6 +12,7 @@ namespace dcolor::congest {
 BfsTree BfsTree::build(Network& net, NodeId root) {
   const Graph& g = net.graph();
   const NodeId n = g.num_nodes();
+  if (root < 0 || root >= n) throw std::invalid_argument("BfsTree::build: root out of range");
   BfsTree t;
   t.root_ = root;
   t.parent_.assign(n, -1);
@@ -42,7 +44,7 @@ BfsTree BfsTree::build(Network& net, NodeId root) {
     frontier = std::move(next);
   }
   for (NodeId v = 0; v < n; ++v) {
-    assert(t.level_[v] >= 0 && "BfsTree requires a connected graph");
+    if (t.level_[v] < 0) throw std::invalid_argument("BfsTree requires a connected graph");
     t.depth_ = std::max(t.depth_, t.level_[v]);
     if (t.parent_[v] >= 0) t.children_[t.parent_[v]].push_back(v);
   }

@@ -16,7 +16,8 @@ class BfsTree {
  public:
   // Builds a BFS tree rooted at `root` by synchronous flooding, charging
   // the actual flooding rounds (eccentricity(root) + 1) to `net`.
-  // The graph must be connected.
+  // Throws std::invalid_argument when the graph is not connected or
+  // `root` is not a node.
   static BfsTree build(Network& net, NodeId root);
 
   NodeId root() const { return root_; }

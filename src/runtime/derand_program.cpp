@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cassert>
+#include <stdexcept>
 
 #include "src/congest/bfs_tree.h"  // to_fixed/from_fixed codec
 #include "src/util/bits.h"
@@ -15,21 +14,39 @@ namespace {
 // a node joins the tree the round it first hears a joined neighbor
 // (smallest sender id wins) and floods its own id once. Charges
 // eccentricity(root) + 1 rounds, one send_all per node.
+//
+// Frontier roster. Proof obligation: in round r, on_round acts only on a
+// node that is unjoined AND hears a message, i.e. an unjoined neighbor of
+// a node that joined (and flooded) in phase r-1. Every other node is
+// already joined and returns at the level check, or has an empty inbox
+// and returns with best_parent < 0, before touching state. So round 0
+// dispatches {root} and round r exactly those neighbors, ascending and
+// deduplicated with the stamp array. Each of them hears its joiner, so
+// it joins in that very round: the round-r roster is BFS level r, the
+// rosters are disjoint, and their concatenation in tree->bfs_frontier
+// costs O(n + m) over the build. The round after the deepest level has
+// an empty frontier; it runs as Roster::none() and is still charged,
+// which keeps the count at ecc + 1, and done() stops after it.
 class BfsBuildProgram final : public NodeProgram {
  public:
-  BfsBuildProgram(const Graph& g, NodeId root, TreeData* out) : root_(root), out_(out) {
+  BfsBuildProgram(const Graph& g, NodeId root, TreeData* out)
+      : g_(&g), root_(root), out_(out) {
+    const std::size_t n = static_cast<std::size_t>(g.num_nodes());
     out_->root = root;
     out_->depth = 0;
-    out_->level.assign(g.num_nodes(), -1);
-    out_->parent.assign(g.num_nodes(), -1);
+    out_->level.assign(n, -1);
+    out_->parent.assign(n, -1);
     out_->level[root] = 0;
+    out_->bfs_frontier.resize(n);  // no-op after the first build
+    out_->bfs_stamp.assign(n, 0);
+    out_->bfs_frontier[0] = root;
+    out_->bfs_stamp[static_cast<std::size_t>(root)] = 1;
     id_bits_ = bit_width_of(static_cast<std::uint64_t>(g.num_nodes()));
   }
 
   void init(NodeId v, Outbox& out) override {
     if (v != root_) return;
     out.send_all(static_cast<std::uint64_t>(v), id_bits_);
-    progress_.store(true, std::memory_order_relaxed);
   }
 
   void on_round(std::int64_t round, NodeId v, const Inbox& in, Outbox& out) override {
@@ -43,16 +60,41 @@ class BfsBuildProgram final : public NodeProgram {
     out_->level[v] = static_cast<int>(round);
     out_->parent[v] = best_parent;
     out.send_all(static_cast<std::uint64_t>(v), id_bits_);
-    progress_.store(true, std::memory_order_relaxed);
   }
 
-  bool done(std::int64_t) override { return !progress_.exchange(false); }
+  // Every rostered node joins in its round, so no node joined in phase
+  // `rounds` exactly when its roster was empty.
+  bool done(std::int64_t rounds) override { return rounds > 0 && begin_ == end_; }
+
+  Roster roster(std::int64_t round) override {
+    NodeId* f = out_->bfs_frontier.data();
+    if (round > 0) {
+      std::size_t next = end_;
+      for (std::size_t i = begin_; i < end_; ++i) {
+        for (const NodeId w : g_->neighbors(f[i])) {
+          char& seen = out_->bfs_stamp[static_cast<std::size_t>(w)];
+          if (seen) continue;
+          seen = 1;
+          f[next++] = w;
+        }
+      }
+      std::sort(f + end_, f + next);
+      begin_ = end_;
+      end_ = next;
+    }
+    if (begin_ == end_) return Roster::none();
+    return Roster::of(f + begin_, end_ - begin_);
+  }
+
+  // Nodes that joined: n exactly when the graph is connected.
+  std::size_t reached() const { return end_; }
 
  private:
+  const Graph* g_;
   NodeId root_;
   TreeData* out_;
   int id_bits_ = 0;
-  std::atomic<bool> progress_{false};
+  std::size_t begin_ = 0, end_ = 1;  // this round's frontier in bfs_frontier
 };
 
 // Level-synchronous convergecast (the NodeProgram form of
@@ -203,11 +245,17 @@ bool encode_tree_values(const TreeData& tree, const std::vector<long double>& va
 
 void build_tree_data(ParallelEngine& eng, NodeId root, TreeData* out) {
   const Graph& g = eng.graph();
+  if (root < 0 || root >= g.num_nodes()) {
+    throw std::invalid_argument("build_tree_data: root out of range");
+  }
   BfsBuildProgram prog(g, root, out);
   eng.run(prog);
+  // An unreached node would keep level -1 and index level_off[-1] below.
+  if (prog.reached() != static_cast<std::size_t>(g.num_nodes())) {
+    throw std::invalid_argument("build_tree_data requires a connected graph");
+  }
   out->sorted_scratch.resize(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    assert(out->level[v] >= 0 && "build_tree_data requires a connected graph");
     out->depth = std::max(out->depth, out->level[v]);
     out->sorted_scratch[static_cast<std::size_t>(v)] = v;
   }
@@ -313,6 +361,23 @@ void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t val
   if (chunks > 1) eng.tick(chunks - 1);
 }
 
+AlongExchangeProgram::AlongExchangeProgram(const Graph& g,
+                                           const std::vector<std::vector<NodeId>>& targets,
+                                           const std::vector<char>& senders,
+                                           const std::vector<std::uint64_t>& payloads,
+                                           int first_chunk_bits,
+                                           std::vector<std::vector<NodeId>>* from,
+                                           ExchangeScratch* scratch)
+    : g_(&g), targets_(&targets), senders_(&senders), payloads_(&payloads),
+      first_chunk_bits_(first_chunk_bits), from_(from), scratch_(scratch) {
+  mask_ = first_chunk_bits_ >= 64 ? ~std::uint64_t{0}
+                                  : ((std::uint64_t{1} << first_chunk_bits_) - 1);
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  scratch_->senders.reserve(n);  // no-ops once warm
+  scratch_->receivers.reserve(n);
+  scratch_->mark.resize(n, 0);
+}
+
 void AlongExchangeProgram::init(NodeId v, Outbox& out) {
   if (!(*senders_)[v]) return;
   // Two-pointer merge over the sorted adjacency: targets[v] is an
@@ -340,8 +405,36 @@ void AlongExchangeProgram::on_round(std::int64_t, NodeId v, const Inbox& in, Out
 }
 
 Roster AlongExchangeProgram::roster(std::int64_t round) {
-  if (round == 1 && from_ == nullptr) return Roster::none();
-  return Roster::all();
+  // Proof obligation: init returns at once for a non-sender, and in the
+  // delivery round a node that no sender targeted has an empty inbox, so
+  // its on_round only clears (*from_)[v] — done here on the coordinator
+  // instead, which keeps the sink contract of the Network transport.
+  // Without a sink the delivery round is a no-op for every node.
+  const NodeId n = g_->num_nodes();
+  if (round == 0) {
+    scratch_->senders.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      if ((*senders_)[v]) scratch_->senders.push_back(v);
+    }
+    return Roster::of(scratch_->senders);
+  }
+  if (from_ == nullptr) return Roster::none();
+  char* mark = scratch_->mark.data();
+  for (const NodeId v : scratch_->senders) {
+    for (const NodeId u : (*targets_)[v]) mark[u] = 1;
+  }
+  // The ascending scan yields the receivers sorted and deduplicated, and
+  // resets the marks for the next exchange.
+  scratch_->receivers.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    if (mark[v]) {
+      mark[v] = 0;
+      scratch_->receivers.push_back(v);
+    } else {
+      (*from_)[v].clear();
+    }
+  }
+  return Roster::of(scratch_->receivers);
 }
 
 MisColorClassesProgram::MisColorClassesProgram(const InducedSubgraph& active,

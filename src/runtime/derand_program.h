@@ -60,11 +60,19 @@ struct TreeData {
   // Rebind workspace (the ascending node list handed to
   // finalize_tree_positions); kept here so its capacity survives rebinds.
   std::vector<NodeId> sorted_scratch;
+  // BFS build workspace (size n): the per-round frontiers, concatenated,
+  // and their dedupe stamps. Kept here so a rebuild allocates nothing.
+  std::vector<NodeId> bfs_frontier;
+  std::vector<char> bfs_stamp;
 };
 
-// Builds `out` by synchronous flooding from `root` on the engine's graph
-// (must be connected), charging eccentricity(root) + 1 rounds and one
-// send_all per node — exactly congest::BfsTree::build.
+// Builds `out` by synchronous flooding from `root` on the engine's graph,
+// charging eccentricity(root) + 1 rounds and one send_all per node —
+// exactly congest::BfsTree::build. Round r dispatches only the frontier
+// (the unjoined neighbors of round r-1's joiners), so the simulation
+// costs O(n + m) instead of O(n) per flooding round. Throws
+// std::invalid_argument when the graph is not connected or `root` is
+// not a node.
 void build_tree_data(ParallelEngine& eng, NodeId root, TreeData* out);
 
 // Fills the dispatch accelerators (per-level rosters, parent/children
@@ -112,30 +120,34 @@ std::pair<std::uint64_t, std::uint64_t> aggregate_fixed_pair_sum(
 // never read the payload).
 void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t value, int bits);
 
+// Roster workspace of AlongExchangeProgram (size-n arrays), owned by the
+// transport so repeated exchanges allocate nothing once warm.
+struct ExchangeScratch {
+  std::vector<NodeId> senders;    // init roster
+  std::vector<NodeId> receivers;  // delivery roster (with a `from` sink)
+  std::vector<char> mark;         // receiver marks; all zero between runs
+};
+
 // One round of scatter along explicit per-node target lists (the alive
 // conflict edges of a Lemma 2.1 phase, the active edges of an MIS
 // iteration): each sender v delivers the first bandwidth-sized chunk of
 // payloads[v] to every u in targets[v]. Each targets[v] must be an
 // ascending subset of v's adjacency. If `from` is
-// non-null, (*from)[v] collects the ids v received from, ascending.
+// non-null, (*from)[v] collects the ids v received from, ascending, and
+// every other entry is cleared.
 // Callers charge extra pipelined chunks via ParallelEngine::tick.
 class AlongExchangeProgram final : public NodeProgram {
  public:
   AlongExchangeProgram(const Graph& g, const std::vector<std::vector<NodeId>>& targets,
                        const std::vector<char>& senders,
                        const std::vector<std::uint64_t>& payloads, int first_chunk_bits,
-                       std::vector<std::vector<NodeId>>* from)
-      : g_(&g), targets_(&targets), senders_(&senders), payloads_(&payloads),
-        first_chunk_bits_(first_chunk_bits), from_(from) {
-    mask_ = first_chunk_bits_ >= 64 ? ~std::uint64_t{0}
-                                    : ((std::uint64_t{1} << first_chunk_bits_) - 1);
-  }
+                       std::vector<std::vector<NodeId>>* from, ExchangeScratch* scratch);
 
   void init(NodeId v, Outbox& out) override;
   void on_round(std::int64_t round, NodeId v, const Inbox& in, Outbox& out) override;
   bool done(std::int64_t rounds) override { return rounds == 1; }
-  // Without a collection sink the delivery phase is a no-op for every
-  // node: dispatch nobody.
+  // Init dispatches the senders; delivery dispatches the union of their
+  // targets when `from` is set, and nobody otherwise.
   Roster roster(std::int64_t round) override;
 
  private:
@@ -146,6 +158,7 @@ class AlongExchangeProgram final : public NodeProgram {
   int first_chunk_bits_;
   std::uint64_t mask_;
   std::vector<std::vector<NodeId>>* from_;
+  ExchangeScratch* scratch_;
 };
 
 // MIS by iterating the color classes of a proper coloring (the engine

@@ -31,9 +31,18 @@ LinialProgram::LinialProgram(const InducedSubgraph& active,
     : active_(&active), g_(&active.base()), coloring_(std::move(coloring)) {
   int delta = 0;
   for (NodeId v = 0; v < g_->num_nodes(); ++v) {
-    if (active.contains(v)) delta = std::max(delta, active.degree(v));
+    if (!active.contains(v)) continue;
+    delta = std::max(delta, active.degree(v));
+    members_.push_back(v);
   }
   schedule_ = plan_linial(initial_colors, delta);
+}
+
+Roster LinialProgram::roster(std::int64_t) {
+  // Every hook returns at once for an inactive node. With all nodes
+  // active the dense dispatch keeps the degree-weighted chunking.
+  if (members_.size() == static_cast<std::size_t>(g_->num_nodes())) return Roster::all();
+  return Roster::of(members_);
 }
 
 void LinialProgram::send_color(NodeId v, std::uint64_t color, int bits, Outbox& out) {

@@ -41,6 +41,8 @@ class LinialProgram final : public NodeProgram {
   bool done(std::int64_t rounds) override {
     return rounds == static_cast<std::int64_t>(schedule_.steps.size());
   }
+  // The active members, every phase.
+  Roster roster(std::int64_t round) override;
 
   const LinialSchedule& schedule() const { return schedule_; }
   std::vector<std::int64_t>& coloring() { return coloring_; }
@@ -52,6 +54,7 @@ class LinialProgram final : public NodeProgram {
   const Graph* g_;
   LinialSchedule schedule_;
   std::vector<std::int64_t> coloring_;
+  std::vector<NodeId> members_;  // active nodes, ascending
 };
 
 // Drop-in parallel counterpart of dcolor::linial_coloring (same

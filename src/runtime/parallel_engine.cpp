@@ -191,34 +191,92 @@ void Outbox::send_flag_nth(int nth) {
   eng_->stage_flag(self_, nth, *static_cast<ParallelEngine::WorkerState*>(worker_));
 }
 
+void ParallelEngine::reset_worker(WorkerState& w) {
+  w.metrics = congest::Metrics{};
+  w.fail_node = -1;
+  w.error = nullptr;
+  w.staged_slots = false;
+  w.staged_flags = false;
+}
+
+void ParallelEngine::merge_worker(const WorkerState& w) {
+  metrics_.merge(w.metrics);
+  if (w.staged_slots) slots_live_[cur_ ^ 1] = true;
+  if (w.staged_flags) {
+    FlagBuf& fb = flags_[cur_ ^ 1];
+    if (!fb.live && fb.dirty_lo == fb.dirty_hi) {
+      fb.dirty_lo = w.flag_lo;
+      fb.dirty_hi = w.flag_hi;
+    } else {
+      fb.dirty_lo = std::min(fb.dirty_lo, w.flag_lo);
+      fb.dirty_hi = std::max(fb.dirty_hi, w.flag_hi);
+    }
+    fb.live = true;
+  }
+}
+
+std::size_t ParallelEngine::chunk_begin(const Roster& roster, int t) const {
+  if (roster.dense) return static_cast<std::size_t>(chunk_bounds_[t]);
+  return roster.count * static_cast<std::size_t>(t) /
+         static_cast<std::size_t>(pool_.num_threads());
+}
+
+std::size_t ParallelEngine::pool_chunk_end(const Roster& roster, std::size_t i) const {
+  // chunk_begin(roster, T) is the end of the list, so the loop returns.
+  for (int t = 1;; ++t) {
+    const std::size_t bound = chunk_begin(roster, t);
+    if (bound > i) return bound;
+  }
+}
+
 template <typename F>
 void ParallelEngine::run_phase(const Roster& roster, F&& per_node) {
-  for (WorkerState& w : workers_) {
-    w.metrics = congest::Metrics{};
-    w.fail_node = -1;
-    w.error = nullptr;
-    w.staged_slots = false;
-    w.staged_flags = false;
-  }
   const int T = pool_.num_threads();
   const std::size_t width =
       roster.dense ? static_cast<std::size_t>(g_->num_nodes()) : roster.count;
+  if (T == 1 || width <= serial_cutoff_) {
+    // Serial path: one ascending loop over the dispatch list on worker 0.
+    // Proof that it matches the pool path bit for bit: the pool's chunks
+    // are contiguous ascending ranges of this same list, so concatenated
+    // in worker order they ARE this loop. Metrics (sums, a max) and the
+    // flag dirty-range union do not depend on which worker accumulated
+    // what, so one worker's state merged once equals T merged. Around a
+    // throw, a pool chunk stops at its first failing node while the
+    // other chunks run on; skipping from a failing node to the end of
+    // its pool chunk runs exactly the nodes the pool would, and since
+    // the loop ascends, the first failure recorded is the smallest — the
+    // one the pool path rethrows. The chunk bound is computed only on
+    // that throw, so a phase costs no division.
+    WorkerState& ws = workers_[0];
+    reset_worker(ws);
+    Outbox out(this, &ws);
+    std::size_t i = 0;
+    while (i < width) {
+      const NodeId v = roster.dense ? static_cast<NodeId>(i) : roster.nodes[i];
+      out.self_ = v;
+      try {
+        per_node(v, out);
+        ++i;
+      } catch (...) {
+        if (!ws.error) {
+          ws.fail_node = v;
+          ws.error = std::current_exception();
+        }
+        i = pool_chunk_end(roster, i);
+      }
+    }
+    merge_worker(ws);
+    if (ws.error) std::rethrow_exception(ws.error);
+    return;
+  }
+
+  for (WorkerState& w : workers_) reset_worker(w);
   auto body = [&](int t) {
     WorkerState& ws = workers_[t];
     Outbox out(this, &ws);
-    // Dense phases use the precomputed degree-weighted chunking; rostered
-    // phases split the (ascending) roster into equal contiguous ranges.
-    // Either partition depends only on (graph, roster, T), never on
-    // timing, so thread count cannot perturb anything.
-    const std::size_t r_lo =
-        roster.dense ? 0 : roster.count * static_cast<std::size_t>(t) / T;
-    const std::size_t r_hi =
-        roster.dense ? 0 : roster.count * (static_cast<std::size_t>(t) + 1) / T;
-    const NodeId lo = roster.dense ? chunk_bounds_[t] : 0;
-    const NodeId hi = roster.dense ? chunk_bounds_[t + 1] : 0;
-    const std::size_t count = roster.dense ? static_cast<std::size_t>(hi - lo) : r_hi - r_lo;
-    for (std::size_t i = 0; i < count; ++i) {
-      const NodeId v = roster.dense ? lo + static_cast<NodeId>(i) : roster.nodes[r_lo + i];
+    const std::size_t hi = chunk_begin(roster, t + 1);
+    for (std::size_t i = chunk_begin(roster, t); i < hi; ++i) {
+      const NodeId v = roster.dense ? static_cast<NodeId>(i) : roster.nodes[i];
       out.self_ = v;
       try {
         per_node(v, out);
@@ -231,35 +289,14 @@ void ParallelEngine::run_phase(const Roster& roster, F&& per_node) {
       }
     }
   };
-  if (T == 1 || width <= serial_cutoff_) {
-    // Serial fast path: the exact chunks the pool would run, in worker
-    // order on the coordinator — bit-identical state evolution (including
-    // which chunks complete around a throwing node), no pool wakeup.
-    for (int t = 0; t < T; ++t) body(t);
-  } else {
-    phase_ctx_ = &body;
-    phase_body_ = [](void* ctx, int t) { (*static_cast<decltype(body)*>(ctx))(t); };
-    pool_.run(phase_job_);
-  }
+  phase_ctx_ = &body;
+  phase_body_ = [](void* ctx, int t) { (*static_cast<decltype(body)*>(ctx))(t); };
+  pool_.run(phase_job_);
   // Merge is order-insensitive (sums and a max), so thread count cannot
   // perturb Metrics; rounds are only advanced by the coordinator. The
   // flag-plane bookkeeping merges even around failures — the bits are
   // already set, and the next clear must cover them.
-  FlagBuf& fb = flags_[cur_ ^ 1];
-  for (const WorkerState& w : workers_) {
-    metrics_.merge(w.metrics);
-    if (w.staged_slots) slots_live_[cur_ ^ 1] = true;
-    if (w.staged_flags) {
-      if (!fb.live && fb.dirty_lo == fb.dirty_hi) {
-        fb.dirty_lo = w.flag_lo;
-        fb.dirty_hi = w.flag_hi;
-      } else {
-        fb.dirty_lo = std::min(fb.dirty_lo, w.flag_lo);
-        fb.dirty_hi = std::max(fb.dirty_hi, w.flag_hi);
-      }
-      fb.live = true;
-    }
-  }
+  for (const WorkerState& w : workers_) merge_worker(w);
   NodeId bad = -1;
   std::exception_ptr err;
   for (const WorkerState& w : workers_) {

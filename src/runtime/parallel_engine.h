@@ -24,9 +24,9 @@
 // reuses one pre-built std::function (no per-phase type erasure), the
 // flag plane clears only the word ranges it dirtied, and phases whose
 // dispatch width is at or below kSerialPhaseCutoff run inline on the
-// coordinator — same chunks, same order, same merge — skipping the pool
-// wakeup entirely (tests/alloc_audit_test.cpp holds the loop to zero
-// steady-state allocations).
+// coordinator as one ascending loop — the pool's chunks concatenated —
+// skipping the pool wakeup entirely (tests/alloc_audit_test.cpp holds
+// the loop to zero steady-state allocations).
 #pragma once
 
 #include <atomic>
@@ -113,19 +113,23 @@ class ParallelEngine {
   void reset_metrics() { metrics_ = congest::Metrics{}; }
 
   // Phases dispatching at most this many nodes run inline on the
-  // coordinator instead of waking the pool: identical chunks in identical
-  // order, so results and Metrics cannot differ — only the condvar
-  // round-trip disappears. Small tree-wave phases (a handful of nodes,
-  // depth-many per aggregate) are the common case this serves.
+  // coordinator instead of waking the pool, as one ascending loop over
+  // the dispatch list: the pool's chunks are contiguous ascending ranges
+  // of that list, so the loop is their concatenation and results and
+  // Metrics cannot differ — only the condvar round-trip and the per-
+  // worker chunk arithmetic disappear. Small tree-wave phases (a handful
+  // of nodes, depth-many per aggregate) are the common case this serves.
   static constexpr std::size_t kSerialPhaseCutoff = 2048;
 
   // The cutoff actually in effect for this engine: kSerialPhaseCutoff
   // unless the DCOLOR_SERIAL_CUTOFF environment variable overrides it
   // (read at construction; integers in [0, 2^30] accepted, anything else
   // warned about on stderr and ignored). The override picks the dispatch
-  // PATH, never the work: the serial path runs the pool's exact chunks in
-  // worker order, so results and Metrics are identical at any cutoff —
-  // which is what lets the ROADMAP's auto-tuner sweep it without
+  // PATH, never the work: the serial loop is the pool's chunks
+  // concatenated, and on a throw it skips to the end of the failing
+  // node's pool chunk — exactly the nodes the pool would have run — so
+  // results, Metrics and the rethrown exception are identical at any
+  // cutoff, which is what lets the ROADMAP's auto-tuner sweep it without
   // rebuilds. Logged per run via the metric/engine.serial_cutoff probe.
   std::size_t serial_phase_cutoff() const { return serial_cutoff_; }
 
@@ -158,6 +162,20 @@ class ParallelEngine {
   void stage_flag(NodeId from, int nth, WorkerState& ws);
 
   void clear_flag_buf(FlagBuf& b);
+
+  static void reset_worker(WorkerState& w);
+  // Folds one worker's phase state into the engine: Metrics, live-plane
+  // flags and the flag dirty-range union (all order-insensitive).
+  void merge_worker(const WorkerState& w);
+  // Start of pool worker t's chunk of the dispatch list (t == T: its
+  // end). Dense phases use the degree-weighted chunk_bounds_; rostered
+  // phases split the ascending roster into equal contiguous ranges.
+  // Either partition depends only on (graph, roster, T), never on
+  // timing, so thread count cannot perturb anything.
+  std::size_t chunk_begin(const Roster& roster, int t) const;
+  // End of the pool chunk holding dispatch index i: the serial path's
+  // resume point after a throw at i.
+  std::size_t pool_chunk_end(const Roster& roster, std::size_t i) const;
 
   // per_node(NodeId, Outbox&); defined in .cpp. A non-dense roster
   // restricts the dispatch to the listed nodes (the program vouches that

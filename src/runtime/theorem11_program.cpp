@@ -30,7 +30,8 @@ void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeI
   const int bw = eng_.bandwidth_bits();
   const int chunks = (bits + bw - 1) / bw;
   const int first_bits = std::min(bits, bw);
-  AlongExchangeProgram prog(*g_, targets, senders, payloads, first_bits, from);
+  AlongExchangeProgram prog(*g_, targets, senders, payloads, first_bits, from,
+                            &exchange_scratch_);
   eng_.run(prog);
   if (chunks > 1) eng_.tick(chunks - 1);
 }

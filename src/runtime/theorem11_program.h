@@ -64,6 +64,7 @@ class EngineColoringTransport final : public ColoringTransport {
   ParallelEngine eng_;
   TreeData tree_;
   TreeEngineChannel bfs_channel_{tree_};  // bound by build_tree
+  ExchangeScratch exchange_scratch_;
   EngineChannel* channel_ = nullptr;
 };
 

@@ -3,7 +3,8 @@
 // derandomization pipelines allocate NOTHING per round — the engine's
 // dispatch (serial fast path and pool path), the Lemma 2.6
 // aggregate/broadcast channel ops over BFS and cluster trees (including
-// cluster rebinds), a full Linial run, and a full color-class MIS run.
+// cluster rebinds), BFS rebuilds, conflict-edge exchanges, a full Linial
+// run, and a full color-class MIS run.
 // Guards tentpole (c) of the round-loop optimization PR: any hot-path
 // heap traffic reintroduced later fails here, not in a profiler.
 //
@@ -27,6 +28,7 @@
 #include "src/runtime/derand_program.h"
 #include "src/runtime/linial_program.h"
 #include "src/runtime/parallel_engine.h"
+#include "src/runtime/theorem11_program.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -95,6 +97,53 @@ TEST(AllocAudit, BfsChannelOpsSteadyState) {
     }
     const std::uint64_t delta = allocs() - before;
     EXPECT_EQ(delta, 0u) << "channel ops allocated at threads=" << threads;
+  }
+}
+
+// A BFS rebuild on a warm engine and TreeData: the frontier and stamp
+// workspace live in the TreeData, so after the first build the flood —
+// roster construction included — and the tree finalization allocate
+// nothing, at 1 thread and at 2.
+TEST(AllocAudit, BfsBuildSteadyState) {
+  const Graph g = make_grid(12, 12);
+  for (const int threads : {1, 2}) {
+    ParallelEngine eng(g, threads);
+    TreeData tree;
+    build_tree_data(eng, 0, &tree);  // warm
+    const std::uint64_t before = allocs();
+    build_tree_data(eng, 0, &tree);
+    build_tree_data(eng, 77, &tree);
+    const std::uint64_t delta = allocs() - before;
+    EXPECT_EQ(delta, 0u) << "BFS rebuild allocated at threads=" << threads;
+  }
+}
+
+// Conflict-edge exchanges on a warm EngineColoringTransport, with and
+// without a `from` sink: the sender and receiver rosters are built into
+// transport-owned scratch reserved once, and the sink vectors keep their
+// capacity, so repeated exchanges allocate nothing.
+TEST(AllocAudit, ExchangeAlongSteadyState) {
+  const Graph g = make_gnp(300, 0.03, test::kTestSeed + 3);
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<NodeId>> targets(static_cast<std::size_t>(n));
+  std::vector<char> senders(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint64_t> payloads(static_cast<std::size_t>(n), 5);
+  for (NodeId v = 0; v < n; v += 2) {
+    senders[v] = 1;
+    for (const NodeId u : g.neighbors(v)) targets[v].push_back(u);
+  }
+  std::vector<std::vector<NodeId>> from(static_cast<std::size_t>(n));
+  for (const int threads : {1, 2}) {
+    EngineColoringTransport t(g, threads);
+    t.exchange_along(targets, senders, payloads, 8, nullptr);  // warm
+    t.exchange_along(targets, senders, payloads, 8, &from);
+    const std::uint64_t before = allocs();
+    for (int i = 0; i < 3; ++i) {
+      t.exchange_along(targets, senders, payloads, 8, nullptr);
+      t.exchange_along(targets, senders, payloads, 8, &from);
+    }
+    const std::uint64_t delta = allocs() - before;
+    EXPECT_EQ(delta, 0u) << "exchange_along allocated at threads=" << threads;
   }
 }
 

@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/coloring/derand_channel.h"
 #include "src/coloring/linial.h"
+#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
 #include "src/graph/generators.h"
 #include "src/runtime/theorem11_program.h"
@@ -126,6 +130,90 @@ TEST(TransportConformance, ExchangeAlongMatches) {
     eng.exchange_along(targets, senders, payloads, wide, &eng_from);
     EXPECT_EQ(ref_from, eng_from) << "threads=" << threads;
     expect_metrics_eq(ref.metrics(), eng.metrics(), "exchange chunked");
+
+    // Sparse senders into sinks pre-filled with stale ids: the engine
+    // dispatches only the receivers, and every other entry must still
+    // come back empty, as on the Network transport.
+    std::vector<char> few(n, 0);
+    std::vector<char> receives(n, 0);
+    for (NodeId v = 0; v < n; v += 7) {
+      few[v] = 1;
+      for (NodeId u : targets[v]) receives[u] = 1;
+    }
+    std::vector<std::vector<NodeId>> ref_stale(n, {n + 1, 3}), eng_stale(n, {n + 1, 3});
+    ref.exchange_along(targets, few, payloads, 12, &ref_stale);
+    eng.exchange_along(targets, few, payloads, 12, &eng_stale);
+    EXPECT_EQ(ref_stale, eng_stale) << "threads=" << threads;
+    int silent = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (receives[v]) continue;
+      ++silent;
+      EXPECT_TRUE(ref_stale[v].empty()) << "network sink " << v;
+      EXPECT_TRUE(eng_stale[v].empty()) << "engine sink " << v << " threads=" << threads;
+    }
+    EXPECT_GT(silent, 0);
+    expect_metrics_eq(ref.metrics(), eng.metrics(), "exchange sparse senders");
+  }
+}
+
+// The engine's frontier-rostered BFS build against the Network flood on
+// the shapes that stress it: deep (a 4096-path rooted at an end and in
+// the middle), wide (a star from its center and from a leaf) and mixed
+// (a grid, a caterpillar). Levels, parents, depth and every Metrics
+// field must match at 1 and 4 threads, and at 4 threads with every
+// phase forced through the pool (cutoff 0).
+TEST(TransportConformance, BuildTreeMatchesOnDeepAndWideShapes) {
+  struct Shape {
+    std::string name;
+    Graph g;
+    NodeId root;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"path4096@0", make_path(4096), 0});
+  shapes.push_back({"path4096@mid", make_path(4096), 2048});
+  shapes.push_back({"star300@center", make_star(300), 0});
+  shapes.push_back({"star300@leaf", make_star(300), 17});
+  shapes.push_back({"grid20x30", make_grid(20, 30), 0});
+  shapes.push_back({"caterpillar200x3", make_caterpillar(200, 3), 0});
+  struct Mode {
+    int threads;
+    const char* cutoff;  // DCOLOR_SERIAL_CUTOFF, or nullptr for the default
+  };
+  for (const Shape& s : shapes) {
+    congest::Network net(s.g);
+    const congest::BfsTree ref = congest::BfsTree::build(net, s.root);
+    std::vector<NodeId> ref_parent(static_cast<std::size_t>(s.g.num_nodes()));
+    for (NodeId v = 0; v < s.g.num_nodes(); ++v) ref_parent[v] = ref.parent(v);
+    for (const Mode m : {Mode{1, nullptr}, Mode{4, nullptr}, Mode{4, "0"}}) {
+      if (m.cutoff != nullptr) {
+        ASSERT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", m.cutoff, 1), 0);
+      }
+      runtime::ParallelEngine eng(s.g, m.threads);
+      ASSERT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+      runtime::TreeData tree;
+      runtime::build_tree_data(eng, s.root, &tree);
+      const std::string where = s.name + " threads=" + std::to_string(m.threads) +
+                                " cutoff=" + (m.cutoff ? m.cutoff : "default");
+      EXPECT_EQ(tree.level, ref.levels()) << where;
+      EXPECT_EQ(tree.parent, ref_parent) << where;
+      EXPECT_EQ(tree.depth, ref.depth()) << where;
+      expect_metrics_eq(net.metrics(), eng.metrics(), where);
+    }
+  }
+}
+
+// A disconnected graph has no spanning BFS tree: both builds refuse it
+// in every build type (an unreached node used to keep level -1, which
+// indexed out of bounds once NDEBUG removed the assert).
+TEST(TransportConformance, BuildTreeRejectsDisconnectedGraph) {
+  const Graph g = Graph::from_edges(7, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}});
+  congest::Network net(g);
+  EXPECT_THROW(congest::BfsTree::build(net, 0), std::invalid_argument);
+  for (int threads : {1, 4}) {
+    runtime::ParallelEngine eng(g, threads);
+    runtime::TreeData tree;
+    EXPECT_THROW(runtime::build_tree_data(eng, 0, &tree), std::invalid_argument)
+        << "threads=" << threads;
   }
 }
 

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/coloring/derand_mis.h"
@@ -280,8 +282,8 @@ TEST(ParallelEngine, SerialCutoffEnvOverrideCannotPerturbResults) {
 
   // The override is read at engine construction. 0 forces every phase
   // through the pool; a huge cutoff forces the serial path — the results
-  // and Metrics must be bit-identical either way, because the serial path
-  // walks the pool's exact chunks.
+  // and Metrics must be bit-identical either way, because the serial
+  // loop is the pool's chunks concatenated in ascending order.
   for (const char* cutoff : {"0", "1000000"}) {
     ASSERT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", cutoff, 1), 0);
     ParallelEngine eng(g, 3);
@@ -298,6 +300,86 @@ TEST(ParallelEngine, SerialCutoffEnvOverrideCannotPerturbResults) {
     EXPECT_EQ(eng.serial_phase_cutoff(), ParallelEngine::kSerialPhaseCutoff) << bad;
   }
   ASSERT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+}
+
+// Writes per-node state and throws at chosen nodes, in the dense init
+// phase (throw_in_init) or in a rostered round 1 that dispatches every
+// third node. The exception carries the throwing node's id.
+struct ThrowingProgram final : runtime::NodeProgram {
+  std::vector<int> state;
+  std::vector<NodeId> throw_at;
+  std::vector<NodeId> every_third;
+  bool throw_in_init = true;
+
+  ThrowingProgram(NodeId n, std::vector<NodeId> at, bool in_init)
+      : state(static_cast<std::size_t>(n), 0), throw_at(std::move(at)), throw_in_init(in_init) {
+    for (NodeId v = 0; v < n; v += 3) every_third.push_back(v);
+  }
+  void act(NodeId v, int mark) {
+    state[static_cast<std::size_t>(v)] = mark;
+    for (const NodeId t : throw_at) {
+      if (t == v) throw std::runtime_error(std::to_string(v));
+    }
+  }
+  void init(NodeId v, Outbox&) override {
+    if (throw_in_init) act(v, 1);
+  }
+  void on_round(std::int64_t, NodeId v, const Inbox&, Outbox&) override { act(v, 2); }
+  bool done(std::int64_t rounds) override { return rounds >= 1; }
+  runtime::Roster roster(std::int64_t round) override {
+    if (round == 0) return throw_in_init ? runtime::Roster::all() : runtime::Roster::none();
+    return runtime::Roster::of(every_third);
+  }
+};
+
+// What the serial loop must preserve from the pool path around a throw:
+// the rethrown exception is the smallest throwing node's, and per-node
+// state shows that each pool chunk stopped at its own first failure
+// while the other chunks ran on. Throws sit in several chunks, in a
+// dense phase and in a rostered one.
+TEST(ParallelEngine, SerialAndPoolPathsAgreeAroundThrows) {
+  const Graph g = make_path(90);
+  struct Case {
+    bool in_init;
+    std::vector<NodeId> at;
+  };
+  // Dense chunks at T=3 are about [0,30), [30,60), [60,90); the roster
+  // of every third node splits into 10-node thirds the same way.
+  for (const Case& c : {Case{true, {40, 12, 75, 50}}, Case{false, {42, 9, 78, 45}}}) {
+    auto run = [&](int threads, const char* cutoff, std::vector<int>* state) {
+      if (cutoff != nullptr) {
+        EXPECT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", cutoff, 1), 0);
+      }
+      ParallelEngine eng(g, threads);
+      EXPECT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+      ThrowingProgram prog(g.num_nodes(), c.at, c.in_init);
+      std::string what;
+      try {
+        eng.run(prog);
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      *state = prog.state;
+      return what;
+    };
+    std::vector<int> pool_state, serial_state, one_state;
+    const std::string pool_what = run(3, "0", &pool_state);
+    const std::string serial_what = run(3, "1000000", &serial_state);
+    const std::string one_what = run(1, nullptr, &one_state);
+    const std::string want = c.in_init ? "12" : "9";
+    EXPECT_EQ(pool_what, want);
+    EXPECT_EQ(serial_what, want);
+    EXPECT_EQ(one_what, want);
+    EXPECT_EQ(serial_state, pool_state) << (c.in_init ? "dense" : "rostered");
+    // The later chunks ran up to their own first throw: the failure
+    // skipped the rest of one chunk, not the rest of the phase.
+    const int mark = c.in_init ? 1 : 2;
+    const NodeId first = c.in_init ? 12 : 9;
+    const NodeId second = c.in_init ? 40 : 42;
+    EXPECT_EQ(pool_state[static_cast<std::size_t>(second)], mark);
+    EXPECT_EQ(pool_state[static_cast<std::size_t>(first + 3)], 0);
+    EXPECT_EQ(one_state[static_cast<std::size_t>(second)], 0);
+  }
 }
 
 TEST(ParallelEngine, TinyGraphs) {
