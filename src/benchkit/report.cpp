@@ -162,7 +162,7 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
     return false;
   }
   const std::string schema = v.string_or("schema", "");
-  if (schema != kRecordSchema && schema != kRecordSchemaV2 && schema != kRecordSchemaV1) {
+  if (schema != kRecordSchema) {
     if (err) *err = "unexpected schema '" + schema + "'";
     return false;
   }
@@ -190,7 +190,6 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
   out->verified = v.bool_or("verified", false);
   out->checksum_stable = v.bool_or("checksum_stable", false);
   out->rss_peak_kb = static_cast<std::int64_t>(v.number_or("rss_peak_kb", 0));
-  // /2-only fields; a /1 record keeps the defaults (0 / empty).
   out->nodes_rounds_per_sec = v.number_or("nodes_rounds_per_sec", 0);
   if (const JsonValue* phases = v.find("phase_wall_ms");
       phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
@@ -200,7 +199,6 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
       }
     }
   }
-  // /3-only fields; /1 and /2 records keep the defaults (0 / empty).
   out->dropped_events = static_cast<std::int64_t>(v.number_or("dropped_events", 0));
   if (const JsonValue* hists = v.find("histograms");
       hists != nullptr && hists->kind == JsonValue::Kind::kObject) {

@@ -13,10 +13,7 @@
 //   max, p50, p90, p99, buckets:{bit_width: count}}} from the profiled
 //   rep — see docs/BENCH_SCHEMA.md), git
 //
-// The parser also accepts "dcolor-bench/2" (no dropped_events /
-// histograms) and "dcolor-bench/1" (everything up to rss_peak_kb + git)
-// records, defaulting the newer fields — so a /3 run still gates against
-// checked-in older baselines during a schema transition.
+// The parser accepts "dcolor-bench/3" records only.
 //
 // Baseline comparison is CALIBRATED by default: with ratios r_i =
 // current_i / baseline_i, the median ratio estimates the machine-speed
@@ -37,10 +34,6 @@
 namespace dcolor::benchkit {
 
 inline constexpr const char* kRecordSchema = "dcolor-bench/3";
-// Previous schemas, still accepted by parse_record (read-only
-// back-compat; the writer always emits kRecordSchema).
-inline constexpr const char* kRecordSchemaV2 = "dcolor-bench/2";
-inline constexpr const char* kRecordSchemaV1 = "dcolor-bench/1";
 
 // One serialized histogram of a /3 record: the obs::HistogramSnapshot
 // for key "cat/name", with write-time percentile estimates and the
@@ -82,18 +75,16 @@ struct Record {
   bool verified = false;
   bool checksum_stable = false;
   std::int64_t rss_peak_kb = 0;
-  // /2: throughput in node-rounds per second — n * rounds / wall seconds,
-  // the engine-loop work rate the ROADMAP asks to track (0 when wall or
-  // rounds is 0, and on parsed /1 records).
+  // Throughput in node-rounds per second — n * rounds / wall seconds, the
+  // engine-loop work rate (0 when wall or rounds is 0).
   double nodes_rounds_per_sec = 0.0;
-  // /2: per-phase wall-time totals (ms) from the profiled rep, sorted by
+  // Per-phase wall-time totals (ms) from the profiled rep, sorted by
   // phase name. Phases may nest or run concurrently, so this is span time
-  // per phase, not a partition of wall_ms. Empty on parsed /1 records.
+  // per phase, not a partition of wall_ms.
   std::vector<std::pair<std::string, double>> phase_wall_ms;
-  // /3: ring events the profiled rep dropped (0 on older records).
+  // Ring events the profiled rep dropped.
   std::int64_t dropped_events = 0;
-  // /3: the profiled rep's merged histograms, sorted by key. Empty on
-  // parsed /1 and /2 records.
+  // The profiled rep's merged histograms, sorted by key.
   std::vector<RecordHistogram> histograms;
   std::string git;
 };

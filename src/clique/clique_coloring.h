@@ -1,30 +1,29 @@
 // Theorem 1.3: deterministic (degree+1)-list coloring in the UNICAST
 // CONGESTED CLIQUE.
 //
-// Differences from the CONGEST algorithm (Section 4 of the paper):
+// The algorithm is the Section-4 commit cycle shared with MPC
+// (`section4_commit_cycle`, src/coloring/segment_derand.h); this file
+// holds only what the clique makes it cost and when it stops:
 //  * The nodes' unique ids serve as the input coloring (K = n) — no
 //    Linial step is needed.
-//  * The derandomization fixes WHOLE SEGMENTS of the seed in O(1) rounds:
-//    for a segment of lambda <= log n bits, 2^lambda "responsible" nodes
-//    each collect Sum_u E[Phi(u) | segment := R] directly (all-to-all
-//    messaging), forward their sums to a leader, and the leader broadcasts
-//    the minimizing assignment.
-//  * The i-bit speedup: once at most n/2^i nodes are uncolored, the
-//    prefix extension fixes i bits per derandomization pass — nodes split
-//    their candidate ranges into 2^i subranges and the coin selects among
-//    them through interval membership of the b-bit hash value (Lenzen
-//    routing ships the 2^i subrange counts to conflict neighbors in O(1)
-//    rounds). Conflict resolution uses the Section-4 accuracy boost (no
-//    MIS): >= half the nodes end with <= 1 conflict, the higher id wins.
+//  * Each seed segment of lambda <= log n bits is fixed in 3 direct
+//    rounds: 2^lambda "responsible" nodes each collect
+//    Sum_u E[Phi(u) | segment := R] (all-to-all messaging), forward their
+//    sums to a leader, and the leader broadcasts the minimizing
+//    assignment.
+//  * The i-bit speedup: once at most n/2^i nodes are uncolored, a pass
+//    fixes i >= 2 candidate bits — nodes split their candidate ranges
+//    into 2^i subranges, and Lenzen routing ships the subrange bounds to
+//    conflict neighbors in O(1) rounds. Conflict resolution is the
+//    Section-4 accuracy boost (no MIS): >= half the nodes end with <= 1
+//    conflict, the higher id wins; one direct round announces the colors.
 //  * Once <= n/Delta nodes remain uncolored, the residual subgraph and
-//    lists are shipped to a leader via Lenzen routing and solved locally.
+//    lists are shipped to a leader via Lenzen routing and colored
+//    greedily there (`greedy_complete`).
 //
-// Segment-granular conditioning is cheap because all previously fixed
-// chunks make the corresponding hash digits deterministic integers:
-// conditional interval probabilities are plain interval intersections
-// (see the .cpp). The bitwise coin family's longer seed costs an extra
-// O(logDelta) factor per pass relative to the paper's O(log n)-bit seed —
-// the same documented substitution as in CONGEST (docs/ARCHITECTURE.md,
+// The bitwise coin family's longer seed costs an extra O(log Delta)
+// factor per pass relative to the paper's O(log n)-bit seed — the same
+// documented substitution as in CONGEST (docs/ARCHITECTURE.md,
 // "Departures from the paper").
 #pragma once
 

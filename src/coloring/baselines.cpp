@@ -1,7 +1,7 @@
 #include "src/coloring/baselines.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <numeric>
 
 #include "src/congest/network.h"
@@ -11,10 +11,9 @@
 
 namespace dcolor {
 
-std::vector<Color> greedy_list_coloring(const ListInstance& inst) {
-  const Graph& g = inst.graph();
-  std::vector<Color> colors(g.num_nodes(), kUncolored);
+void greedy_complete(const Graph& g, const ListInstance& inst, std::vector<Color>& colors) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (colors[v] != kUncolored) continue;
     for (Color c : inst.list(v)) {
       bool taken = false;
       for (NodeId u : g.neighbors(v)) {
@@ -28,8 +27,15 @@ std::vector<Color> greedy_list_coloring(const ListInstance& inst) {
         break;
       }
     }
-    assert(colors[v] != kUncolored && "degree+1 lists make greedy succeed");
+    if (colors[v] == kUncolored) {
+      throw std::logic_error("greedy_complete: a node's list has no color left free");
+    }
   }
+}
+
+std::vector<Color> greedy_list_coloring(const ListInstance& inst) {
+  std::vector<Color> colors(inst.graph().num_nodes(), kUncolored);
+  greedy_complete(inst.graph(), inst, colors);
   return colors;
 }
 

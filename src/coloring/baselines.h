@@ -10,9 +10,15 @@
 
 namespace dcolor {
 
+// Colors every uncolored node of g (colors[v] == kUncolored) in id order
+// with the first color of its list that no neighbor holds. Throws
+// std::logic_error when a node's list has no free color left, which a
+// (degree+1) instance whose lists lost only their colored neighbors'
+// colors never causes.
+void greedy_complete(const Graph& g, const ListInstance& inst, std::vector<Color>& colors);
+
 // Sequential greedy list coloring (the trivial centralized baseline the
-// paper's introduction mentions). Colors in id order; always succeeds on a
-// (degree+1) instance.
+// paper's introduction mentions): greedy_complete from no colors.
 std::vector<Color> greedy_list_coloring(const ListInstance& inst);
 
 struct RandomizedColoringResult {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/coloring/seed_fixing.h"
+#include "src/coloring/segment_derand.h"  // section4_keeps
 #include "src/hash/bitwise_family.h"
 #include "src/hash/gf_family.h"
 #include "src/util/bits.h"
@@ -195,13 +196,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   if (opts.avoid_mis) {
     // Section 4: with the extra accuracy, at least half the active nodes
     // have at most one conflict; the higher id wins a 1-conflict pair.
-    for (NodeId v : active_nodes) {
-      if (alive[v].empty()) {
-        keep[v] = true;
-      } else if (alive[v].size() == 1 && v > alive[v][0]) {
-        keep[v] = true;
-      }
-    }
+    for (NodeId v : active_nodes) keep[v] = section4_keeps(v, alive[v]);
     t.tick(1);  // the id-comparison round
   } else {
     // V_{<4}: conflict degree <= 3; the induced conflict graph has max

@@ -1,10 +1,13 @@
 #include "src/coloring/segment_derand.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-#include "src/hash/coin_family.h"  // threshold_for
+#include "src/coloring/partial_coloring.h"  // precision_bits_for
+#include "src/hash/coin_family.h"           // threshold_for
+#include "src/util/bits.h"
 
 namespace dcolor {
 namespace {
@@ -193,6 +196,109 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
           "count");
     }
   }
+  return res;
+}
+
+std::vector<std::vector<NodeId>> section4_conflicts(const Graph& g,
+                                                    const std::vector<bool>& active,
+                                                    ListInstance& inst, int* delta_c) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<NodeId>> conflict(n);
+  *delta_c = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    for (NodeId u : g.neighbors(v)) {
+      if (active[u]) conflict[v].push_back(u);
+    }
+    *delta_c = std::max(*delta_c, static_cast<int>(conflict[v].size()));
+    inst.trim_list(v, conflict[v].size() + 1);
+  }
+  return conflict;
+}
+
+std::vector<NodeId> section4_commit(const Graph& g, std::vector<std::vector<NodeId>>& conflict,
+                                    const std::vector<Color>& candidate,
+                                    std::vector<bool>& active, ListInstance& inst,
+                                    std::vector<Color>& colors, const AnnounceFn& announce) {
+  std::vector<NodeId> newly;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!active[v]) continue;
+    std::erase_if(conflict[v], [&](NodeId u) { return candidate[u] != candidate[v]; });
+    if (section4_keeps(v, conflict[v])) newly.push_back(v);
+  }
+  if (newly.empty()) {
+    throw std::logic_error("Section-4 commit cycle made no progress (potential bound violated)");
+  }
+  for (NodeId v : newly) {
+    colors[v] = candidate[v];
+    active[v] = false;
+  }
+  announce(newly);
+  for (NodeId v : newly) {
+    for (NodeId u : g.neighbors(v)) {
+      if (active[u]) inst.remove_color(u, colors[v]);
+    }
+  }
+  return newly;
+}
+
+CommitCycleResult section4_commit_cycle(const Graph& g, std::vector<bool>& active,
+                                        ListInstance& inst, std::vector<Color>& colors,
+                                        int step, int lambda, const CommitCycleHooks& hooks) {
+  const NodeId n = g.num_nodes();
+  const int W = inst.color_bits();
+  const int w = ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2));
+  int delta_c = 0;
+  std::vector<std::vector<NodeId>> conflict = section4_conflicts(g, active, inst, &delta_c);
+  const int b = precision_bits_for(delta_c, std::max(W, 1), /*avoid_mis=*/true);
+
+  CommitCycleResult res;
+  // Candidate range [lo, hi) of each sorted list: the entries sharing the
+  // color prefix fixed so far.
+  std::vector<int> lo(n, 0), hi(n, 0);
+  std::vector<MultiwaySpec> specs(n);
+  for (NodeId v = 0; v < n; ++v) {
+    hi[v] = static_cast<int>(inst.list(v).size());
+    specs[v].active = active[v];
+    specs[v].id = static_cast<std::uint64_t>(v);
+  }
+  for (int ell = 0; ell < W; ell += step) {
+    ++res.derand_passes;
+    const int s = std::min(step, W - ell);
+    // The range's entries share bits [0, ell), so their bits [ell, ell+s)
+    // are ascending: subrange g is a contiguous block of the range.
+    for (NodeId v = 0; v < n; ++v) {
+      if (!active[v]) continue;
+      const auto& L = inst.list(v);
+      specs[v].counts.assign(std::size_t{1} << s, 0);
+      for (int i = lo[v]; i < hi[v]; ++i) {
+        ++specs[v].counts[msb_prefix(static_cast<std::uint64_t>(L[i]), ell + s, W) &
+                          ((std::uint64_t{1} << s) - 1)];
+      }
+      specs[v].bounds = multiway_bounds(specs[v].counts, b);
+    }
+    hooks.on_pass(specs, conflict, b);
+    const SegmentDerandResult der =
+        segment_derand_step(specs, conflict, w, b, lambda, hooks.on_segment);
+    // The seed is public, so every node knows its conflict neighbors'
+    // subranges: edges survive only between equal selections.
+    for (NodeId v = 0; v < n; ++v) {
+      if (!active[v]) continue;
+      const int sel = der.selected[v];
+      for (int gval = 0; gval < sel; ++gval) lo[v] += specs[v].counts[gval];
+      hi[v] = lo[v] + specs[v].counts[sel];
+      std::erase_if(conflict[v], [&](NodeId u) { return der.selected[u] != sel; });
+    }
+  }
+
+  // Full-width prefixes: every candidate range is one color.
+  std::vector<Color> candidate(n, kUncolored);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    assert(hi[v] - lo[v] == 1);
+    candidate[v] = inst.list(v)[lo[v]];
+  }
+  res.newly = section4_commit(g, conflict, candidate, active, inst, colors, hooks.on_announce);
   return res;
 }
 

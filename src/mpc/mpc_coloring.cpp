@@ -1,9 +1,10 @@
 #include "src/mpc/mpc_coloring.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "src/coloring/baselines.h"
+#include "src/coloring/partial_coloring.h"  // precision_bits_for
 #include "src/coloring/segment_derand.h"
 #include "src/mpc/primitives.h"
 #include "src/util/bits.h"
@@ -37,121 +38,26 @@ struct Shared {
   MpcSystem* sys;
   AggregationTree* tree;
   std::vector<int> machine_of;  // node -> home machine (linear) / first machine
-  int W;                        // color bits
   int w;                        // id bits
+  int lambda;                   // seed segment bits: 2^lambda candidates fit S
 };
 
-// One commit cycle: fix all W candidate bits (one per pass), then commit
-// nodes with <= 1 conflict. Returns the number of newly colored nodes and
-// accumulates pass counts.
-NodeId commit_cycle(Shared& sh, std::vector<bool>& active, std::vector<Color>& colors,
-                    int* derand_passes, int rounds_per_exchange) {
-  const Graph& g = *sh.g;
-  const NodeId n = g.num_nodes();
-  MpcSystem& sys = *sh.sys;
+// One seed segment: sum the candidates' values up the aggregation tree,
+// broadcast the winner down.
+void charge_segment(Shared& sh) {
+  std::vector<std::uint64_t> zero(sh.sys->num_machines(), 0);
+  sh.tree->aggregate(*sh.sys, zero, [](std::uint64_t a, std::uint64_t c) { return a + c; }, 2);
+  sh.tree->broadcast(*sh.sys, 1);
+}
 
-  std::vector<std::vector<NodeId>> conflict(n);
-  int delta_c = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) conflict[v].push_back(u);
-    }
-    delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
-    sh.inst->trim_list(v, conflict[v].size() + 1);
-  }
-  const int b = std::max(4, ceil_log2(10ull * std::max(delta_c, 1) *
-                                      (std::max(delta_c, 1) + 1) * std::max(sh.W, 1)));
-  const int lam = std::max(
-      1, std::min<int>(sh.w + 1, floor_log2(static_cast<std::uint64_t>(sys.memory_words()))));
-
-  std::vector<int> range_lo(n, 0), range_hi(n, 0);
-  for (NodeId v = 0; v < n; ++v) range_hi[v] = static_cast<int>(sh.inst->list(v).size());
-
-  for (int ell = 0; ell < sh.W; ++ell) {
-    ++*derand_passes;
-    // Subrange counts (k0, k1) per node + interval bounds.
-    std::vector<MultiwaySpec> specs(n);
-    std::vector<int> splits(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      specs[v].active = active[v];
-      specs[v].id = static_cast<std::uint64_t>(v);
-      if (!active[v]) continue;
-      const auto& L = sh.inst->list(v);
-      const auto first1 = std::partition_point(
-          L.begin() + range_lo[v], L.begin() + range_hi[v], [&](Color c) {
-            return msb_bit(static_cast<std::uint64_t>(c), ell, sh.W) == 0;
-          });
-      splits[v] = static_cast<int>(first1 - L.begin());
-      specs[v].counts = {splits[v] - range_lo[v], range_hi[v] - splits[v]};
-      specs[v].bounds = multiway_bounds(specs[v].counts, b);
-    }
-
-    // Exchange (k1, |L|) across edge partners: 2 words per directed edge.
-    {
-      std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-      for (NodeId v = 0; v < n; ++v) {
-        if (!active[v]) continue;
-        out[sh.machine_of[v]] += 2 * static_cast<std::int64_t>(conflict[v].size());
-        for (NodeId u : conflict[v]) in[sh.machine_of[u]] += 2;
-      }
-      charged_exchange(sys, out, in);
-      sys.tick(rounds_per_exchange - 1);  // per-node aggregation trees (sublinear)
-    }
-
-    // Segment derandomization: one aggregation + one broadcast per segment.
-    SegmentDerandResult der =
-        segment_derand_step(specs, conflict, sh.w, b, lam, [&] {
-          std::vector<std::uint64_t> zero(sys.num_machines(), 0);
-          sh.tree->aggregate(sys, zero,
-                             [](std::uint64_t a, std::uint64_t c) { return a + c; }, 2);
-          sh.tree->broadcast(sys, 1);
-        });
-
-    // Apply digits locally (counts and seed are public to edge partners).
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      if (der.selected[v] == 0) {
-        range_hi[v] = splits[v];
-      } else {
-        range_lo[v] = splits[v];
-      }
-    }
-    std::vector<int> digit = der.selected;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      std::erase_if(conflict[v], [&](NodeId u) { return digit[u] != digit[v]; });
-    }
-  }
-
-  // Commit: <=1 conflict, higher id wins; announce + prune (one exchange).
-  std::vector<NodeId> newly;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    assert(range_hi[v] - range_lo[v] == 1);
-    if (conflict[v].empty() || (conflict[v].size() == 1 && v > conflict[v][0])) {
-      newly.push_back(v);
-    }
-  }
-  if (newly.empty()) {
-    throw MpcViolation("MPC coloring made no progress (potential bound violated)");
-  }
-  {
-    std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-    for (NodeId v : newly) {
-      colors[v] = sh.inst->list(v)[range_lo[v]];
-      out[sh.machine_of[v]] += static_cast<std::int64_t>(g.degree(v));
-      for (NodeId u : g.neighbors(v)) in[sh.machine_of[u]] += 1;
-    }
-    charged_exchange(sys, out, in);
-  }
-  for (NodeId v : newly) active[v] = false;
+// Newly colored nodes announce their colors: one word per incident edge.
+void charge_announce(Shared& sh, const std::vector<NodeId>& newly) {
+  std::vector<std::int64_t> out(sh.sys->num_machines(), 0), in(sh.sys->num_machines(), 0);
   for (NodeId v : newly) {
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) sh.inst->remove_color(u, colors[v]);
-    }
+    out[sh.machine_of[v]] += static_cast<std::int64_t>(sh.g->degree(v));
+    for (NodeId u : sh.g->neighbors(v)) in[sh.machine_of[u]] += 1;
   }
-  return static_cast<NodeId>(newly.size());
+  charged_exchange(*sh.sys, out, in);
 }
 
 // Lemma 4.2: one multiway pass chooses a full color per node (fanout =
@@ -161,23 +67,13 @@ NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& c
   const NodeId n = g.num_nodes();
   MpcSystem& sys = *sh.sys;
 
-  std::vector<std::vector<NodeId>> conflict(n);
   int delta_c = 0;
-  std::size_t max_list = 1;
+  std::vector<std::vector<NodeId>> conflict = section4_conflicts(g, active, *sh.inst, &delta_c);
+  std::size_t max_list = 2;
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) conflict[v].push_back(u);
-    }
-    delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
-    sh.inst->trim_list(v, conflict[v].size() + 1);
-    max_list = std::max(max_list, sh.inst->list(v).size());
+    if (active[v]) max_list = std::max(max_list, sh.inst->list(v).size());
   }
-  const int b = std::max(
-      4, ceil_log2(10ull * std::max(delta_c, 1) * (std::max(delta_c, 1) + 1) *
-                   static_cast<std::uint64_t>(std::max<std::size_t>(max_list, 2))));
-  const int lam = std::max(
-      1, std::min<int>(sh.w + 1, floor_log2(static_cast<std::uint64_t>(sys.memory_words()))));
+  const int b = precision_bits_for(delta_c, static_cast<int>(max_list), /*avoid_mis=*/true);
 
   std::vector<MultiwaySpec> specs(n);
   for (NodeId v = 0; v < n; ++v) {
@@ -231,49 +127,14 @@ NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& c
   };
 
   SegmentDerandResult der = segment_derand_step(
-      specs, conflict, sh.w, b, lam,
-      [&] {
-        std::vector<std::uint64_t> zero(sys.num_machines(), 0);
-        sh.tree->aggregate(sys, zero, [](std::uint64_t a, std::uint64_t c) { return a + c; },
-                           2);
-        sh.tree->broadcast(sys, 1);
-      },
-      pairs_fn);
+      specs, conflict, sh.w, b, sh.lambda, [&] { charge_segment(sh); }, pairs_fn);
   std::vector<Color> trial(n, kUncolored);
   for (NodeId v = 0; v < n; ++v) {
     if (active[v]) trial[v] = sh.inst->list(v)[der.selected[v]];
   }
-  std::vector<NodeId> newly;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    int conflicts = 0;
-    NodeId rival = -1;
-    for (NodeId u : conflict[v]) {
-      if (trial[u] == trial[v]) {
-        ++conflicts;
-        rival = u;
-      }
-    }
-    if (conflicts == 0 || (conflicts == 1 && v > rival)) newly.push_back(v);
-  }
-  if (newly.empty()) {
-    throw MpcViolation("Lemma 4.2 pass made no progress");
-  }
-  {
-    std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-    for (NodeId v : newly) {
-      colors[v] = trial[v];
-      out[sh.machine_of[v]] += static_cast<std::int64_t>(g.degree(v));
-      for (NodeId u : g.neighbors(v)) in[sh.machine_of[u]] += 1;
-    }
-    charged_exchange(sys, out, in);
-  }
-  for (NodeId v : newly) active[v] = false;
-  for (NodeId v : newly) {
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) sh.inst->remove_color(u, colors[v]);
-    }
-  }
+  const std::vector<NodeId> newly =
+      section4_commit(g, conflict, trial, active, *sh.inst, colors,
+                      [&](const std::vector<NodeId>& nw) { charge_announce(sh, nw); });
   return static_cast<NodeId>(newly.size());
 }
 
@@ -331,12 +192,30 @@ MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool li
     }
   }
 
-  Shared sh{&g, &inst, &sys, &tree, machine_of, inst.color_bits(),
-            ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2))};
+  const int w = ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2));
+  Shared sh{&g, &inst, &sys, &tree, machine_of, w,
+            std::max(1, std::min<int>(w + 1, floor_log2(static_cast<std::uint64_t>(S))))};
   std::vector<bool> active(n, true);
   NodeId uncolored = n;
   const int delta = std::max(g.max_degree(), 2);
   const int rounds_per_exchange = linear ? 1 : std::max(1, tree.depth());
+
+  // Round charges of a commit cycle (the cycle itself is
+  // section4_commit_cycle, shared with the clique, one bit per pass).
+  CommitCycleHooks hooks;
+  // Exchange (k1, |L|) across edge partners: 2 words per directed edge.
+  hooks.on_pass = [&](const std::vector<MultiwaySpec>&,
+                      const std::vector<std::vector<NodeId>>& conflict, int) {
+    std::vector<std::int64_t> out(M, 0), in(M, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      out[machine_of[v]] += 2 * static_cast<std::int64_t>(conflict[v].size());
+      for (NodeId u : conflict[v]) in[machine_of[u]] += 2;
+    }
+    charged_exchange(sys, out, in);
+    sys.tick(rounds_per_exchange - 1);  // per-node aggregation trees (sublinear)
+  };
+  hooks.on_segment = [&] { charge_segment(sh); };
+  hooks.on_announce = [&](const std::vector<NodeId>& newly) { charge_announce(sh, newly); };
 
   while (uncolored > 0) {
     if (linear) {
@@ -360,19 +239,7 @@ MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool li
         in[0] = residual_words;
         charged_exchange(sys, out, in);
         sys.check_storage(0, residual_words);
-        for (NodeId v = 0; v < n; ++v) {
-          if (!active[v]) continue;
-          for (Color c : inst.list(v)) {
-            bool taken = false;
-            for (NodeId u : g.neighbors(v)) taken |= res.colors[u] == c;
-            if (!taken) {
-              res.colors[v] = c;
-              break;
-            }
-          }
-          assert(res.colors[v] != kUncolored);
-          active[v] = false;
-        }
+        greedy_complete(g, inst, res.colors);
         sys.tick(1);  // distribute the output
         uncolored = 0;
         break;
@@ -393,7 +260,10 @@ MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool li
       }
     }
     ++res.commit_cycles;
-    uncolored -= commit_cycle(sh, active, res.colors, &res.derand_passes, rounds_per_exchange);
+    const CommitCycleResult cycle =
+        section4_commit_cycle(g, active, inst, res.colors, 1, sh.lambda, hooks);
+    res.derand_passes += cycle.derand_passes;
+    uncolored -= static_cast<NodeId>(cycle.newly.size());
   }
   res.metrics = sys.metrics();
   return res;

@@ -2,28 +2,33 @@
 // model, plus Lemma 4.2 (the O(log n)-round finisher used in the
 // sublinear regime when Delta < n^{alpha/2}).
 //
-// Both regimes run the Section-4 variant of the CONGEST algorithm — one
-// candidate-color bit fixed per derandomization pass, higher coin accuracy
-// so the final conflict resolution is a single id comparison (no MIS) —
-// with the seed fixed segment-at-a-time over a machine aggregation tree:
+// Both regimes run the Section-4 commit cycle shared with the CONGESTED
+// CLIQUE (`section4_commit_cycle`, src/coloring/segment_derand.h) with
+// one candidate-color bit per pass; this file holds only what MPC makes
+// it cost — an S-word exchange per pass, one aggregation-tree aggregate +
+// broadcast per seed segment, an announce exchange per cycle — and the
+// regimes' finishers:
 //
 //  * linear memory (Theorem 1.4): S = Theta(n); every node's incident
 //    edges and color list live on one machine M_u; after O(log Delta)
 //    constant-fraction iterations at most n/Delta^2 nodes remain and the
-//    residual instance (<= n/Delta edges) is shipped to one machine.
+//    residual instance (<= n/Delta edges) is shipped to one machine and
+//    colored greedily (`greedy_complete`).
 //  * sublinear memory (Theorem 1.5): S = Theta(n^alpha); a node's data may
 //    span machines, so per-node counts are combined over aggregation
 //    trees (Section 5) at O(1/alpha) rounds a pass. If Delta < n^{alpha/2}
 //    the run finishes with Lemma 4.2 — every remaining node's color is
 //    chosen in ONE multiway derandomization pass (fanout = its whole
-//    list, unit counts), repeated O(log n) times.
+//    list, unit counts), repeated O(log n) times, with the cycle's
+//    conflict setup and commit rule.
 //
 // The MpcSystem validates that no machine ever stores, sends or receives
 // more than S words; results report honest round counts under that
-// regime. The bitwise coin family's longer seed costs an extra
-// O(log Delta) factor per pass versus the paper's O(log n)-bit seed — the
-// same documented substitution as in the other models
-// (docs/ARCHITECTURE.md, "Departures from the paper").
+// regime. A commit cycle that colors no node throws std::logic_error. The
+// bitwise coin family's longer seed costs an extra O(log Delta) factor per
+// pass versus the paper's O(log n)-bit seed — the same documented
+// substitution as in the other models (docs/ARCHITECTURE.md, "Departures
+// from the paper").
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 // trips, the canonical table writer's numbers-as-numbers output, the
 // scenario registry, and the dcolor-bench CLI driven through run_cli with
 // test-local scenarios — quick runs emitting schema-complete BENCH_*.json
-// (dcolor-bench/3, with /1 and /2 back-compat parsing), histogram and
+// (dcolor-bench/3; the retired /1 and /2 are rejected), histogram and
 // dropped-events round trips, stable checksums, the verification and
 // parity failure paths, the --trace Chrome-trace emission, and the
 // --baseline regression gate tripping on an injected slowdown with a
@@ -350,49 +350,26 @@ TEST(BenchkitRunner, QuickRunEmitsSchemaCompleteRecords) {
   }
 }
 
-// Schema transition: the parser accepts the previous dcolor-bench/1
-// schema (defaulting the /2 fields) but still rejects unknown schemas —
-// checked-in /1 baselines stay readable until the refresh lands.
-TEST(BenchkitReport, V1RecordsStillParse) {
+// Only the current schema parses: the retired dcolor-bench/1 and /2 (and
+// any unknown schema) are rejected, even when every field is present.
+TEST(BenchkitReport, RetiredSchemasRejected) {
   Record r;
-  r.scenario = "testkit.v1compat";
+  r.scenario = "testkit.schema";
   r.wall_ms = 5.0;
-  r.nodes_rounds_per_sec = 123.0;
-  r.phase_wall_ms = {{"phase.a", 1.5}};
-  std::string text = record_json(r);
-
-  const std::string v2 = kRecordSchema;
-  const std::string v1 = kRecordSchemaV1;
-  ASSERT_NE(text.find(v2), std::string::npos);
-  text.replace(text.find(v2), v2.size(), v1);
-
-  Record parsed;
-  std::string err;
-  ASSERT_TRUE(parse_record(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.scenario, "testkit.v1compat");
-  EXPECT_DOUBLE_EQ(parsed.wall_ms, 5.0);
-  // The /2 fields in the doctored text are still read (tolerant reader);
-  // a real /1 record simply lacks them and keeps the defaults.
-  text.replace(text.find(v1), v1.size(), "dcolor-bench/0");
-  EXPECT_FALSE(parse_record(text, &parsed, &err));
-}
-
-TEST(BenchkitReport, V2RecordsStillParse) {
-  Record r;
-  r.scenario = "testkit.v2compat";
-  r.wall_ms = 5.0;
-  std::string text = record_json(r);
+  const std::string text = record_json(r);
   const std::string cur = kRecordSchema;
   ASSERT_NE(text.find(cur), std::string::npos);
-  text.replace(text.find(cur), cur.size(), kRecordSchemaV2);
 
   Record parsed;
   std::string err;
   ASSERT_TRUE(parse_record(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.scenario, "testkit.v2compat");
-  EXPECT_DOUBLE_EQ(parsed.wall_ms, 5.0);
-  EXPECT_EQ(parsed.dropped_events, 0);
-  EXPECT_TRUE(parsed.histograms.empty());
+  EXPECT_EQ(parsed.scenario, "testkit.schema");
+  for (const char* old : {"dcolor-bench/0", "dcolor-bench/1", "dcolor-bench/2"}) {
+    std::string doctored = text;
+    doctored.replace(doctored.find(cur), cur.size(), old);
+    EXPECT_FALSE(parse_record(doctored, &parsed, &err)) << old;
+    EXPECT_NE(err.find("unexpected schema"), std::string::npos) << old;
+  }
 }
 
 // The /3 additions survive a writer -> parser round trip field by field,
@@ -464,26 +441,28 @@ TEST(BenchkitRunner, RecordsCarryProfiledHistograms) {
   EXPECT_EQ(rec.dropped_events, 0);
 }
 
-// The regression gate compares /1 baselines against /2 records without
-// spurious failures: matching is by filename + wall_ms, not schema.
-TEST(BenchkitBaseline, V1BaselinesGateV2RecordsWithoutSpuriousFailures) {
-  const fs::path current = fresh_dir("v1_transition_current");
+// The regression gate finds each baseline by its record's filename in
+// another directory and compares wall_ms only: a copy of the current
+// records gates without spurious failures.
+TEST(BenchkitBaseline, BaselinesMatchByFilename) {
+  const fs::path current = fresh_dir("filename_match_current");
   ASSERT_EQ(cli({"--quick", "--reps", "2", "--filter", "testkit.busy", "--json-dir",
                  current.string()}),
             kExitOk);
-  const fs::path v1_base = fresh_dir("v1_transition_base");
+  const fs::path base = fresh_dir("filename_match_base");
+  std::vector<Record> records;
   for (const char* leaf : {"BENCH_testkit_busy_a.json", "BENCH_testkit_busy_b.json"}) {
-    std::string text = slurp(current / leaf);
-    const std::string v2 = kRecordSchema;
-    const std::size_t at = text.find(v2);
-    ASSERT_NE(at, std::string::npos) << leaf;
-    text.replace(at, v2.size(), kRecordSchemaV1);
-    std::ofstream out(v1_base / leaf);
-    out << text;
-    ASSERT_TRUE(out.good()) << leaf;
+    fs::copy_file(current / leaf, base / leaf);
+    Record rec;
+    std::string err;
+    ASSERT_TRUE(read_record_file((current / leaf).string(), &rec, &err)) << err;
+    records.push_back(rec);
   }
+  const BaselineReport report = compare_with_baseline(records, base.string(), 4.0, 5.0, true);
+  EXPECT_EQ(report.missing, 0);
+  EXPECT_EQ(report.regressions, 0);
   EXPECT_EQ(cli({"--quick", "--reps", "2", "--filter", "testkit.busy", "--baseline",
-                 v1_base.string(), "--threshold", "400", "--abs-slack-ms", "5"}),
+                 base.string(), "--threshold", "400", "--abs-slack-ms", "5"}),
             kExitOk);
 }
 

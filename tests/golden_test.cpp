@@ -55,6 +55,13 @@ ListInstance golden_lists(const Graph& g) {
   return ListInstance::random_lists(g, 4 * (g.max_degree() + 1), 5);
 }
 
+// Adversarial lists: every list drawn from one pool of Delta+1 colors, so
+// neighbors share most of their candidates. Pinned for the clique and MPC
+// before their commit cycles were merged into one.
+ListInstance shared_pool(const Graph& g) {
+  return ListInstance::shared_pool_lists(g, g.max_degree() + 1, 5);
+}
+
 void expect_pin(const Pin& want, std::uint64_t checksum, const congest::Metrics& m,
                 int iterations) {
   EXPECT_EQ(checksum, want.checksum);
@@ -145,17 +152,22 @@ TEST(Golden, Theorem11Network) {
 
 // Theorem 1.3: segment-granular seed fixing with direct clique rounds.
 TEST(Golden, CliqueColoring) {
-  constexpr Pin kPins[2] = {
-      {0x78fbfc167e94c9dbull, 228, 753, 9261, 3},
-      {0x8160448148ac439full, 210, 1205, 14091, 3},
+  // [pool][which]: golden_lists, then shared_pool lists.
+  constexpr Pin kPins[2][2] = {
+      {{0x78fbfc167e94c9dbull, 228, 753, 9261, 3},
+       {0x8160448148ac439full, 210, 1205, 14091, 3}},
+      {{0xb5519879c4344005ull, 142, 702, 7818, 2},
+       {0x50eda352a3a54424ull, 130, 1124, 11725, 2}},
   };
-  for (int which = 0; which < 2; ++which) {
-    SCOPED_TRACE(which);
-    const Graph g = golden_graph(which);
-    const ListInstance inst = golden_lists(g);
-    const clique::CliqueColoringResult res = clique::clique_list_coloring(g, inst);
-    ASSERT_TRUE(inst.valid_solution(res.colors));
-    expect_pin(kPins[which], fnv1a(res.colors), res.metrics, res.derand_passes);
+  for (int pool = 0; pool < 2; ++pool) {
+    for (int which = 0; which < 2; ++which) {
+      SCOPED_TRACE(testing::Message() << "pool=" << pool << " which=" << which);
+      const Graph g = golden_graph(which);
+      const ListInstance inst = pool ? shared_pool(g) : golden_lists(g);
+      const clique::CliqueColoringResult res = clique::clique_list_coloring(g, inst);
+      ASSERT_TRUE(inst.valid_solution(res.colors));
+      expect_pin(kPins[pool][which], fnv1a(res.colors), res.metrics, res.derand_passes);
+    }
   }
 }
 
@@ -181,17 +193,22 @@ void expect_mpc_pin(const MpcPin& want, const mpc::MpcColoringResult& res) {
 
 // Theorem 1.4 (S = Theta(n)): lambda-bit segments, diagonal objective.
 TEST(Golden, MpcLinear) {
-  constexpr MpcPin kPins[2] = {
-      {0x9473819b6a00024aull, 129, 2721, 172, 5, 0},
-      {0xe2bf52987d702e15ull, 119, 4218, 148, 5, 0},
+  // [pool][which]: golden_lists, then shared_pool lists.
+  constexpr MpcPin kPins[2][2] = {
+      {{0x9473819b6a00024aull, 129, 2721, 172, 5, 0},
+       {0xe2bf52987d702e15ull, 119, 4218, 148, 5, 0}},
+      {{0x1c2bb27d7627d405ull, 73, 2089, 172, 3, 0},
+       {0x2a39ed05ae29c747ull, 107, 3941, 148, 6, 0}},
   };
-  for (int which = 0; which < 2; ++which) {
-    SCOPED_TRACE(which);
-    const Graph g = golden_graph(which);
-    const ListInstance inst = golden_lists(g);
-    const mpc::MpcColoringResult res = mpc::mpc_list_coloring_linear(g, inst);
-    ASSERT_TRUE(inst.valid_solution(res.colors));
-    expect_mpc_pin(kPins[which], res);
+  for (int pool = 0; pool < 2; ++pool) {
+    for (int which = 0; which < 2; ++which) {
+      SCOPED_TRACE(testing::Message() << "pool=" << pool << " which=" << which);
+      const Graph g = golden_graph(which);
+      const ListInstance inst = pool ? shared_pool(g) : golden_lists(g);
+      const mpc::MpcColoringResult res = mpc::mpc_list_coloring_linear(g, inst);
+      ASSERT_TRUE(inst.valid_solution(res.colors));
+      expect_mpc_pin(kPins[pool][which], res);
+    }
   }
 }
 
@@ -199,13 +216,20 @@ TEST(Golden, MpcLinear) {
 // the run to the Lemma 4.2 finisher, whose segment fixing evaluates
 // color-value matchings (the `edge_pairs` objective).
 TEST(Golden, MpcSublinearWithLemma42) {
-  constexpr MpcPin kPin = {0xefaaf7f5dbcbef00ull, 693, 46246, 28, 5, 1};
+  // [pool]: golden_lists, then shared_pool lists.
+  constexpr MpcPin kPins[2] = {
+      {0xefaaf7f5dbcbef00ull, 693, 46246, 28, 5, 1},
+      {0xf3658c7f8dbcbd42ull, 471, 32196, 28, 3, 1},
+  };
   const Graph g = make_near_regular(64, 4, 7);
-  const ListInstance inst = golden_lists(g);
-  const mpc::MpcColoringResult res = mpc::mpc_list_coloring_sublinear(g, inst, 0.9);
-  ASSERT_TRUE(inst.valid_solution(res.colors));
-  ASSERT_GT(res.lemma42_passes, 0);
-  expect_mpc_pin(kPin, res);
+  for (int pool = 0; pool < 2; ++pool) {
+    SCOPED_TRACE(testing::Message() << "pool=" << pool);
+    const ListInstance inst = pool ? shared_pool(g) : golden_lists(g);
+    const mpc::MpcColoringResult res = mpc::mpc_list_coloring_sublinear(g, inst, 0.9);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    ASSERT_GT(res.lemma42_passes, 0);
+    expect_mpc_pin(kPins[pool], res);
+  }
 }
 
 // Corollary 1.2: Theorem 1.1 per cluster of a network decomposition.

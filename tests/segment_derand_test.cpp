@@ -1,5 +1,5 @@
-// Unit tests for the segment-granular derandomization shared by the
-// clique and MPC algorithms.
+// Unit tests for the segment-granular derandomization and the Section-4
+// commit step shared by the clique and MPC algorithms.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -175,6 +175,42 @@ TEST(SegmentDerand, AllZeroCountsThrow) {
     std::vector<std::vector<NodeId>> conflict = {{1}, {0}};
     EXPECT_THROW(segment_derand_step(specs, conflict, 1, b, 2, [] {}), std::logic_error);
   }
+}
+
+// The commit rule on a triangle: a node keeps its candidate with no
+// conflict left or with one conflict to a lower id; committed colors leave
+// the remaining neighbors' lists, after the announcement was charged.
+// With every candidate equal, no node keeps and the cycle must throw.
+TEST(Section4Commit, HigherIdWinsAndPrunes) {
+  const Graph g = Graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
+  ListInstance inst(g, 4, {{0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2}});
+  std::vector<bool> active(3, true);
+  int delta_c = -1;
+  std::vector<std::vector<NodeId>> conflict = section4_conflicts(g, active, inst, &delta_c);
+  EXPECT_EQ(delta_c, 2);
+  EXPECT_EQ(conflict[0], (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(inst.list(0), (std::vector<Color>{0, 1, 2}));  // trimmed to deg+1
+
+  std::vector<Color> colors(3, kUncolored);
+  std::vector<NodeId> announced;
+  const std::vector<NodeId> newly =
+      section4_commit(g, conflict, {0, 0, 1}, active, inst, colors,
+                      [&](const std::vector<NodeId>& nw) {
+                        announced = nw;
+                        EXPECT_EQ(inst.list(0).size(), 3u);  // pruned after announcing
+                      });
+  EXPECT_EQ(newly, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(announced, newly);
+  EXPECT_EQ(colors, (std::vector<Color>{kUncolored, 0, 1}));
+  EXPECT_EQ(active, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(inst.list(0), (std::vector<Color>{2}));
+
+  std::vector<bool> all(3, true);
+  std::vector<std::vector<NodeId>> clash = section4_conflicts(g, all, inst, &delta_c);
+  std::vector<Color> none(3, kUncolored);
+  EXPECT_THROW(section4_commit(g, clash, {2, 2, 2}, all, inst, none,
+                               [](const std::vector<NodeId>&) {}),
+               std::logic_error);
 }
 
 }  // namespace

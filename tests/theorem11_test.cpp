@@ -141,6 +141,20 @@ TEST(Baselines, GreedyValid) {
   }
 }
 
+// A list pruned below the (degree+1) bound can run out of free colors; the
+// greedy completion must say so in every build, not leave kUncolored.
+TEST(Baselines, GreedyThrowsOnExhaustedList) {
+  const Graph g = make_complete(3);
+  ListInstance inst(g, 3, {{0, 1, 2}, {0, 1, 2}, {0, 1, 2}});
+  const ListInstance pristine = inst;
+  ASSERT_TRUE(inst.remove_color(2, 2));
+  EXPECT_THROW(greedy_list_coloring(inst), std::logic_error);
+  // Completion keeps the colors already given and fills the rest in id order.
+  std::vector<Color> colors = {kUncolored, 2, kUncolored};
+  greedy_complete(g, pristine, colors);
+  EXPECT_EQ(colors, (std::vector<Color>{0, 2, 1}));
+}
+
 TEST(Baselines, RandomizedValidAndFast) {
   auto g = make_gnp(80, 0.1, 44);
   auto inst = ListInstance::delta_plus_one(g);
