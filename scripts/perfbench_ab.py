@@ -16,7 +16,10 @@ length), alternating which revision goes first from seed to seed, as
 perfbench/README.md requires. It prints, per workload and per end-to-end
 metric of BENCHMARK.json: the base and head medians, the base
 interquartile range, the per-pair head/base ratios with their median, and
-in how many pairs head was better. A failed or incorrect run aborts.
+in how many pairs head was better. It then prints in how many pairs
+`rounds` and `total_bits` were identical: both are deterministic per seed,
+so a change meant to be bit-identical must show every pair. A failed or
+incorrect run aborts.
 
 To measure uncommitted edits of tracked files, pass
 --head "$(git stash create)" (an unreferenced commit of the working tree;
@@ -30,6 +33,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+# Counts that are deterministic per seed: equal in every pair unless the
+# change alters what the algorithm does.
+EXACT_METRICS = ("rounds", "total_bits")
 
 
 def git(*args):
@@ -88,6 +95,10 @@ def report(workload, metrics, base_runs, head_runs):
             name, statistics.median(base), statistics.median(head), iqr(base),
             statistics.median(ratios), better, len(ratios),
             " ".join("%.3f" % r for r in ratios)))
+    print("  identical: " + ", ".join(
+        "%s %d/%d" % (name, sum(1 for b, h in zip(base_runs, head_runs) if b[name] == h[name]),
+                      len(base_runs))
+        for name in EXACT_METRICS))
 
 
 def main():

@@ -10,14 +10,13 @@ namespace dcolor {
 std::pair<long double, long double> BfsChannel::aggregate_pair(
     congest::Network& net, const std::vector<long double>& values0,
     const std::vector<long double>& values1) {
-  // One convergecast wave carries both sums; the second 64-bit word rides
-  // the pipelined chunk accounted inside BfsTree::aggregate (128-bit
-  // payload => ceil(128/B) chunks).
+  // One convergecast wave carries both sums. BfsTree::aggregate charges
+  // the first 64-bit word (depth + ceil(64/B) - 1 rounds); the second is
+  // summed in memory and charged one round. A 128-bit pipelined wave, as
+  // ClusterChannel charges it, costs depth + ceil(128/B) - 1: at B = 36
+  // this charge is one round less (see docs/ARCHITECTURE.md, section 3).
   const long double s0 =
       congest::from_fixed(congest::aggregate_fixed_sum(net, *tree_, values0));
-  // The second aggregation shares the wave: charge only the extra
-  // pipelining (1 round), not a full tree pass. We emulate this by
-  // summing in-memory and ticking one round.
   long double s1 = 0.0L;
   for (long double v : values1) s1 += v;
   net.tick(1);

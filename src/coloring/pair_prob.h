@@ -9,20 +9,14 @@
 //  * GenericPairProb wraps any CoinFamily and recomputes distributions
 //    from scratch (O(seed queries) — used for the GF family and as the
 //    reference implementation in tests).
-//  * FastBitwisePairProb exploits the chunked structure of the bitwise
-//    family: once a chunk (one output digit's seed bits) is fully fixed,
-//    that digit is a constant, so each participant (0 < tau < 2^b) is
-//    either still tight against its threshold or decided, and the unfixed
-//    digits have a closed-form uniform tail. Cost per (edge, seed bit,
-//    candidate): O(1), with no libm call — what is constant for a whole
-//    chunk (a tight node's threshold digit tau_t, its tail
-//    ldexpl(tau mod 2^r, -r) and its marginal while c_t is free) is
-//    cached per participant at begin_phase and after each c_t fix. The
-//    per-bit passes (the a_t fold, the c_t advance with the cache
-//    refresh) visit participants only, not all n nodes, and no state is
-//    kept per edge. Proof obligation: every returned long double is
-//    bit-identical to evaluating each query from scratch (the argument is
-//    in the .cpp; tests/pair_prob_test.cpp pins the exact bits).
+//  * FastBitwisePairProb evaluates the bitwise family over
+//    BitwiseChunkState (chunk_state.h): each participant (0 < tau < 2^b)
+//    is the one subrange [0, tau), whose per-chunk table already
+//    holds the probability for either value of the current digit. Cost
+//    per (edge, seed bit, candidate): O(1), with no libm call; the per-bit
+//    pass visits participants only. It matches the generic engine to
+//    long-double noise; FastBitwiseEngine.ExactBitsDigest
+//    (tests/pair_prob_test.cpp) pins its exact bits.
 //
 // Both engines are exact (up to long-double rounding, see
 // docs/ARCHITECTURE.md, "Departures from the paper").

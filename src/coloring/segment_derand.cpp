@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
+#include "src/coloring/chunk_state.h"
 #include "src/coloring/partial_coloring.h"  // precision_bits_for
 #include "src/hash/coin_family.h"           // threshold_for
 #include "src/util/bits.h"
 
 namespace dcolor {
-namespace {
-
-struct ChunkForm {
-  std::uint64_t free_mask = 0;
-  int known = 0;
-};
-
-// Pr[h in [lo,hi)] given determined output digits `prefix` (there are
-// b - r of them) and r uniform digits to come.
-inline long double interval_prob(std::uint64_t lo, std::uint64_t hi, std::uint64_t prefix,
-                                 int r) {
-  const std::uint64_t lo_range = prefix << r;
-  const std::uint64_t hi_range = lo_range + (std::uint64_t{1} << r);
-  const std::uint64_t a = lo > lo_range ? lo : lo_range;
-  const std::uint64_t b2 = hi < hi_range ? hi : hi_range;
-  if (a >= b2) return 0.0L;
-  return ldexpl(static_cast<long double>(b2 - a), -r);
-}
-
-inline void substitute(ChunkForm& f, int from_var, int count, int assignment) {
-  for (int k = 0; k < count; ++k) {
-    const int var = from_var + k;
-    if (f.free_mask >> var & 1) {
-      f.free_mask &= ~(std::uint64_t{1} << var);
-      if (assignment >> k & 1) f.known ^= 1;
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<std::uint64_t> multiway_bounds(const std::vector<int>& counts, int b) {
   std::uint64_t size = 0;
@@ -65,7 +35,8 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
   // The nodes the objective reads: active nodes and their conflict
   // neighbors, ascending. Per-chunk and per-candidate work runs over them
   // only.
-  std::vector<NodeId> involved;
+  BitwiseChunkState chunks(w, b);
+  chunks.reset(n);
   {
     std::vector<char> mark(n, 0);
     for (NodeId v = 0; v < n; ++v) {
@@ -74,122 +45,60 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
       for (NodeId u : conflict[v]) mark[u] = 1;
     }
     for (NodeId v = 0; v < n; ++v) {
-      if (mark[v]) involved.push_back(v);
+      if (mark[v]) chunks.add(v, specs[v].id, specs[v].bounds);
     }
   }
-  // prob[first[v] + 2*g + x] = Pr[h_v in subrange g | digits fixed so far,
-  // digit t = x], tabulated once per chunk t.
-  std::vector<std::size_t> first(n, 0);
-  std::size_t table_size = 0;
-  for (NodeId v : involved) {
-    first[v] = table_size;
-    table_size += 2 * specs[v].counts.size();
-  }
-  std::vector<long double> prob(table_size);
 
-  std::vector<std::uint64_t> hash_prefix(n, 0);
-  std::vector<ChunkForm> form(n);
-  std::vector<ChunkForm> cand_form(n);
-  const std::uint64_t a_mask = (w >= 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-
-  for (int t = 0; t < b; ++t) {
-    const int r_after = b - t - 1;
-    for (NodeId v : involved) {
-      form[v].free_mask = (specs[v].id & a_mask) | (std::uint64_t{1} << w);
-      form[v].known = 0;
-      const std::vector<std::uint64_t>& bounds = specs[v].bounds;
-      for (std::size_t g = 0; g < specs[v].counts.size(); ++g) {
-        for (int x = 0; x < 2; ++x) {
-          prob[first[v] + 2 * g + static_cast<std::size_t>(x)] =
-              interval_prob(bounds[g], bounds[g + 1],
-                            (hash_prefix[v] << 1) | static_cast<unsigned>(x), r_after);
-        }
+  // Per node slot: digit t's form with the candidate segment substituted.
+  std::vector<BitwiseChunkState::Form> cand(static_cast<std::size_t>(chunks.size()));
+  while (!chunks.done()) {
+    const int from = chunks.offset();
+    const int seg = std::min(lambda, w + 1 - from);
+    long double best_val = 0;
+    int best_r = -1;
+    for (int R = 0; R < (1 << seg); ++R) {
+      for (int s = 0; s < chunks.size(); ++s) {
+        cand[s] = BitwiseChunkState::substitute(chunks.form(s), from, seg,
+                                                static_cast<std::uint64_t>(R));
       }
-    }
-    int bit_pos = 0;
-    while (bit_pos < w + 1) {
-      const int seg = std::min(lambda, w + 1 - bit_pos);
-      const int num_cand = 1 << seg;
-      long double best_val = 0;
-      int best_r = -1;
-      for (int R = 0; R < num_cand; ++R) {
-        for (NodeId v : involved) {
-          cand_form[v] = form[v];
-          substitute(cand_form[v], bit_pos, seg, R);
-        }
-        long double sum = 0;
-        for (NodeId v = 0; v < n; ++v) {
-          if (!specs[v].active) continue;
-          const ChunkForm& fv = cand_form[v];
-          for (std::size_t j = 0; j < conflict[v].size(); ++j) {
-            const NodeId u = conflict[v][j];
-            const ChunkForm& fu = cand_form[u];
-            long double q[2][2] = {{0, 0}, {0, 0}};
-            if (fv.free_mask == 0 && fu.free_mask == 0) {
-              q[fv.known][fu.known] = 1.0L;
-            } else if (fv.free_mask == 0) {
-              q[fv.known][0] = q[fv.known][1] = 0.5L;
-            } else if (fu.free_mask == 0) {
-              q[0][fu.known] = q[1][fu.known] = 0.5L;
-            } else if (fv.free_mask == fu.free_mask) {
-              const int delta = fv.known ^ fu.known;
-              q[0][delta] = q[1][1 ^ delta] = 0.5L;
-            } else {
-              q[0][0] = q[0][1] = q[1][0] = q[1][1] = 0.25L;
+      long double sum = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        if (!specs[v].active) continue;
+        const int sv = chunks.slot(v);
+        for (std::size_t j = 0; j < conflict[v].size(); ++j) {
+          const int su = chunks.slot(conflict[v][j]);
+          const JointDist q = BitwiseChunkState::digit_pair(cand[sv], cand[su]);
+          auto joint_pg = [&](int gv, int gu) {
+            return BitwiseChunkState::pair_prob(q, chunks.probs(sv, gv), chunks.probs(su, gu));
+          };
+          if (edge_pairs != nullptr) {
+            for (const ConflictPair& cp : edge_pairs(v, j)) {
+              sum += joint_pg(cp.g_v, cp.g_u) * cp.weight;
             }
-            auto joint_pg = [&](std::size_t gv, std::size_t gu) {
-              const long double* pv = &prob[first[v] + 2 * gv];
-              const long double* pu = &prob[first[u] + 2 * gu];
-              long double p_both = 0;
-              for (int x = 0; x < 2; ++x) {
-                for (int y = 0; y < 2; ++y) {
-                  if (q[x][y] == 0.0L) continue;
-                  p_both += q[x][y] * pv[x] * pu[y];
-                }
-              }
-              return p_both;
-            };
-            if (edge_pairs != nullptr) {
-              for (const ConflictPair& cp : edge_pairs(v, j)) {
-                sum += joint_pg(static_cast<std::size_t>(cp.g_v),
-                                static_cast<std::size_t>(cp.g_u)) *
-                       cp.weight;
-              }
-            } else {
-              const std::size_t fanout = specs[v].counts.size();
-              for (std::size_t g = 0; g < fanout; ++g) {
-                const int kg = specs[v].counts[g];
-                if (kg == 0) continue;
-                sum += joint_pg(g, g) / kg;
-              }
+          } else {
+            const int fanout = static_cast<int>(specs[v].counts.size());
+            assert(specs[conflict[v][j]].counts.size() == specs[v].counts.size());
+            for (int g = 0; g < fanout; ++g) {
+              const int kg = specs[v].counts[g];
+              if (kg == 0) continue;
+              sum += joint_pg(g, g) / kg;
             }
           }
         }
-        if (best_r < 0 || sum < best_val) {
-          best_val = sum;
-          best_r = R;
-        }
       }
-      for (NodeId v : involved) substitute(form[v], bit_pos, seg, best_r);
-      bit_pos += seg;
-      ++res.segments_fixed;
-      on_segment();
+      if (best_r < 0 || sum < best_val) {
+        best_val = sum;
+        best_r = R;
+      }
     }
-    for (NodeId v : involved) {
-      assert(form[v].free_mask == 0);
-      hash_prefix[v] = (hash_prefix[v] << 1) | static_cast<unsigned>(form[v].known);
-    }
+    chunks.fix(seg, static_cast<std::uint64_t>(best_r));
+    ++res.segments_fixed;
+    on_segment();
   }
 
   for (NodeId v = 0; v < n; ++v) {
     if (!specs[v].active) continue;
-    const std::uint64_t h = hash_prefix[v];
-    for (std::size_t g = 0; g < specs[v].counts.size(); ++g) {
-      if (h >= specs[v].bounds[g] && h < specs[v].bounds[g + 1]) {
-        res.selected[v] = static_cast<int>(g);
-        break;
-      }
-    }
+    res.selected[v] = chunks.landed(chunks.slot(v));
     if (res.selected[v] < 0 || specs[v].counts[res.selected[v]] == 0) {
       throw std::logic_error(
           "segment_derand_step: an active node's hash selected no subrange with a positive "

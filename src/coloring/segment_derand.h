@@ -13,22 +13,13 @@
 // aggregation-tree passes). The Lemma 4.2 finisher reuses the conflict
 // setup and the commit.
 //
-// Because a fully fixed chunk makes the corresponding hash digit a
-// deterministic integer, and unfixed future chunks contribute independent
-// uniform digits (distinct input ids), conditional interval probabilities
-// reduce to O(1) interval-intersection arithmetic.
-//
-// Per-chunk caches. While chunk t is being fixed, a node's interval
-// probability Pr[h in subrange g | fixed digits, digit t = x] depends on
-// neither the candidate segment assignment nor the neighbor, so it is
-// tabulated once per (node, subrange, digit) per chunk; a candidate is
-// substituted into each node's chunk form once per (candidate, node), not
-// once per directed edge. Both passes run over the nodes the objective
-// reads (active nodes and their conflict neighbors) only. Proof
-// obligation: the tables hold the very values the per-edge evaluation
-// computed, and the summation order (candidate, v, j, g, x, y) is
-// unchanged, so every candidate's sum — and every choice — is
-// bit-identical (tests/golden_test.cpp pins the clique and MPC results).
+// The hash digits' conditional distribution is the multiway case of
+// BitwiseChunkState (chunk_state.h): its per-chunk tables hold
+// Pr[h in subrange g | fixed digits, digit t = x], and a candidate is
+// substituted into each node's digit form once per (candidate, node).
+// Candidates are summed in the order (candidate, v, j, g, x, y);
+// tests/segment_derand_test.cpp and tests/golden_test.cpp pin the exact
+// choices.
 //
 // Nothing here communicates: every message and round is charged by the
 // caller's hooks.
@@ -69,7 +60,8 @@ struct ConflictPair {
 
 // Per-directed-edge conflict structure: pairs(v, j) describes the edge
 // (v, conflict[v][j]). nullptr => the DIAGONAL objective g_v == g_u with
-// weight 1/counts[g] (the prefix-extension potential). Lemma 4.2 supplies
+// weight 1/counts[g] (the prefix-extension potential), which requires
+// conflict neighbors to have equal fanouts. Lemma 4.2 supplies
 // color-value matchings instead.
 using EdgePairsFn =
     std::function<const std::vector<ConflictPair>&(NodeId v, std::size_t j)>;

@@ -1,14 +1,19 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace dcolor {
 
 Graph Graph::from_edges(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges) {
+  if (n < 0) throw std::invalid_argument("Graph::from_edges: negative node count");
+  for (const auto& [u, v] : edges) {
+    if (u < 0 || u >= n || v < 0 || v >= n) {
+      throw std::invalid_argument("Graph::from_edges: edge endpoint outside [0, n)");
+    }
+  }
   // Normalize, dedupe, drop self loops.
   for (auto& [u, v] : edges) {
-    assert(u >= 0 && u < n && v >= 0 && v < n);
     if (u > v) std::swap(u, v);
   }
   std::sort(edges.begin(), edges.end());

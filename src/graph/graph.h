@@ -19,8 +19,9 @@ class Graph {
  public:
   Graph() = default;
 
-  // Builds from an edge list; duplicate edges and self loops are rejected
-  // via assertions in debug builds and deduplicated defensively otherwise.
+  // Builds from an edge list; duplicate edges and self loops are dropped.
+  // Throws std::invalid_argument if n < 0 or an endpoint lies outside
+  // [0, n).
   static Graph from_edges(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges);
 
   NodeId num_nodes() const { return n_; }

@@ -12,11 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include "src/benchkit/cli.h"
 #include "src/benchkit/json.h"
@@ -625,12 +627,20 @@ Scenario hog_scenario() {
   return Scenario{"testkit.local.hog", "touches 64 MiB during run", "synthetic", "testkit",
                   "network", "", /*scalable=*/false, [](const RunConfig& c) {
                     return Prepared{[c] {
+                      // mmap/munmap, not the heap: the pages must leave
+                      // the process with the scenario. ASan's quarantine
+                      // would keep a freed heap buffer resident into the
+                      // next scenario's window.
                       constexpr std::size_t kBytes = 64u << 20;
-                      std::vector<unsigned char> buf(kBytes);
+                      void* mem = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                      if (mem == MAP_FAILED) throw std::bad_alloc();
+                      auto* buf = static_cast<unsigned char*>(mem);
                       for (std::size_t i = 0; i < kBytes; i += 512) {
                         buf[i] = static_cast<unsigned char>(i);
                       }
                       Outcome o = busy_outcome(buf[kBytes - 512] % 4, c);
+                      munmap(mem, kBytes);
                       return o;
                     }};
                   }};

@@ -5,8 +5,9 @@
 // it. The MIS and Theorem 1.1 values were recorded before the MIS moved
 // onto ColoringTransport and the two seed-bit loops were merged; the
 // clique, MPC and Corollary 1.2 values before the conditional-expectation
-// evaluators read per-chunk caches. None may change without a deliberate,
-// documented re-pin.
+// evaluators read per-chunk caches; the shared-pool Theorem 1.1 and
+// Corollary 1.2 values before both evaluators ran on one chunk state.
+// None may change without a deliberate, documented re-pin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "src/mpc/mpc_coloring.h"
 #include "src/runtime/corollary12_program.h"
 #include "src/runtime/mis_program.h"
+#include "src/runtime/theorem11_program.h"
 
 namespace dcolor {
 namespace {
@@ -150,6 +152,42 @@ TEST(Golden, Theorem11Network) {
   }
 }
 
+// Theorem 1.1 on the adversarial shared-pool lists, on the Network
+// reference and on the engine at 1 and 2 threads. Neighbors share most
+// of their candidates, so many coins stay tight against their threshold
+// for most of a seed chunk: the path of the bitwise conditional
+// probabilities that random lists rarely reach.
+constexpr Pin kTheorem11SharedPoolPins[2] = {
+    {0xe1c61bb406246b42ull, 5234, 29264, 416052, 2},
+    {0x082d817736bf65e0ull, 3608, 27087, 379286, 2},
+};
+
+TEST(Golden, Theorem11SharedPoolNetwork) {
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE(which);
+    const Graph g = golden_graph(which);
+    const ListInstance inst = shared_pool(g);
+    const Theorem11Result res = theorem11_solve_per_component(g, inst);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    expect_pin(kTheorem11SharedPoolPins[which], fnv1a(res.colors), res.metrics,
+               res.iterations);
+  }
+}
+
+TEST(Golden, Theorem11SharedPoolEngine) {
+  for (int which = 0; which < 2; ++which) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << which << " t=" << threads);
+      const Graph g = golden_graph(which);
+      const ListInstance inst = shared_pool(g);
+      const Theorem11Result res = runtime::theorem11_coloring(g, inst, threads);
+      ASSERT_TRUE(inst.valid_solution(res.colors));
+      expect_pin(kTheorem11SharedPoolPins[which], fnv1a(res.colors), res.metrics,
+                 res.iterations);
+    }
+  }
+}
+
 // Theorem 1.3: segment-granular seed fixing with direct clique rounds.
 TEST(Golden, CliqueColoring) {
   // [pool][which]: golden_lists, then shared_pool lists.
@@ -260,6 +298,38 @@ TEST(Golden, Corollary12Engine) {
       const Corollary12Result res = runtime::corollary12_coloring(g, inst, threads);
       ASSERT_TRUE(inst.valid_solution(res.colors));
       expect_pin(kCorollary12Pins[which], fnv1a(res.colors), res.metrics,
+                 static_cast<int>(res.coloring_rounds));
+    }
+  }
+}
+
+// Corollary 1.2 on the shared-pool lists (see Theorem11SharedPool*).
+constexpr Pin kCorollary12SharedPoolPins[2] = {
+    {0x98e50b783b665824ull, 6277, 26132, 370825, 6149},
+    {0xf0615cb77b77a242ull, 3642, 29126, 407512, 3582},
+};
+
+TEST(Golden, Corollary12SharedPoolNetwork) {
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE(which);
+    const Graph g = golden_graph(which);
+    const ListInstance inst = shared_pool(g);
+    const Corollary12Result res = corollary12_solve(g, inst);
+    ASSERT_TRUE(inst.valid_solution(res.colors));
+    expect_pin(kCorollary12SharedPoolPins[which], fnv1a(res.colors), res.metrics,
+               static_cast<int>(res.coloring_rounds));
+  }
+}
+
+TEST(Golden, Corollary12SharedPoolEngine) {
+  for (int which = 0; which < 2; ++which) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << which << " t=" << threads);
+      const Graph g = golden_graph(which);
+      const ListInstance inst = shared_pool(g);
+      const Corollary12Result res = runtime::corollary12_coloring(g, inst, threads);
+      ASSERT_TRUE(inst.valid_solution(res.colors));
+      expect_pin(kCorollary12SharedPoolPins[which], fnv1a(res.colors), res.metrics,
                  static_cast<int>(res.coloring_rounds));
     }
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "src/graph/generators.h"
@@ -65,6 +66,24 @@ TEST(GraphIo, RejectsMoreMalformedShapes) {
   EXPECT_FALSE(read_edge_list(c).has_value());
   std::stringstream d("2 1\nx y\n");  // non-numeric endpoints
   EXPECT_FALSE(read_edge_list(d).has_value());
+}
+
+// A node count beyond NodeId must not be narrowed: 4294967299 would wrap
+// to 3 and the endpoint 4294967297 to node 1.
+TEST(GraphIo, RejectsNodeCountBeyondNodeId) {
+  std::stringstream a("4294967299 1\n0 4294967297\n");
+  EXPECT_FALSE(read_edge_list(a).has_value());
+  std::stringstream b("2147483648 0\n");
+  EXPECT_FALSE(read_edge_list(b).has_value());
+}
+
+// The header's edge count is a claim, not an allocation size: a huge m
+// with too few edges is truncated input, not a length_error or bad_alloc.
+TEST(GraphIo, HugeEdgeCountIsTruncatedInput) {
+  std::stringstream a("3 2305843009213693952\n0 1\n");  // m = 2^61
+  std::optional<Graph> g;
+  EXPECT_NO_THROW(g = read_edge_list(a));
+  EXPECT_FALSE(g.has_value());
 }
 
 TEST(GraphIo, DotContainsNodesAndEdges) {

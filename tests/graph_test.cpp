@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/properties.h"
@@ -16,6 +18,14 @@ TEST(Graph, FromEdgesDedupes) {
   EXPECT_FALSE(g.has_edge(0, 2));
   EXPECT_EQ(g.degree(1), 2);
   EXPECT_EQ(g.max_degree(), 2);
+}
+
+TEST(Graph, FromEdgesRejectsMalformedInput) {
+  EXPECT_THROW(Graph::from_edges(-1, {}), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(3, {{0, 3}}), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(3, {{-1, 2}}), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(0, {{0, 0}}), std::invalid_argument);
+  EXPECT_EQ(Graph::from_edges(0, {}).num_nodes(), 0);
 }
 
 TEST(Graph, EdgeListRoundTrip) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/coloring/segment_derand.h"
 #include "src/hash/coin_family.h"
+#include "src/util/bits.h"
 #include "src/util/rng.h"
 
 namespace dcolor {
@@ -175,6 +177,84 @@ TEST(SegmentDerand, AllZeroCountsThrow) {
     std::vector<std::vector<NodeId>> conflict = {{1}, {0}};
     EXPECT_THROW(segment_derand_step(specs, conflict, 1, b, 2, [] {}), std::logic_error);
   }
+}
+
+// Pins the exact selections on seeded random instances: lambda in
+// {1, 2, 3, w+1}, fanouts 2..8 with empty subranges, precision up to 40
+// bits, both the diagonal and the edge-pair objective. The golden pins
+// reach only the clique's and MPC's own lambda; this reaches the rest of
+// the kernel's arithmetic (recorded for the x87 80-bit long double). The
+// diagonal objective compares subrange indices across an edge, so its
+// instances give every node one fanout, as the commit cycle does; the
+// edge-pair instances mix fanouts, as Lemma 4.2's lists do.
+TEST(SegmentDerand, ExactBitsDigest) {
+  if (std::numeric_limits<long double>::digits != 64) {
+    GTEST_SKIP() << "digest is recorded for the x87 80-bit long double";
+  }
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::int64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(word) >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  Rng rng(2718);
+  for (int trial = 0; trial < 16; ++trial) {
+    const bool diagonal = trial % 2 == 0;
+    const int n = 5 + static_cast<int>(rng.next_below(8));
+    const int w = ceil_log2(static_cast<std::uint64_t>(n)) + static_cast<int>(rng.next_below(2));
+    const int b = trial < 2 ? 40 : 2 + static_cast<int>(rng.next_below(11));
+    const int common_fanout = 2 + static_cast<int>(rng.next_below(7));
+    std::vector<MultiwaySpec> specs(n);
+    for (int v = 0; v < n; ++v) {
+      specs[v].active = rng.next_below(5) != 0;
+      specs[v].id = static_cast<std::uint64_t>(v);
+      const int fanout = diagonal ? common_fanout : 2 + static_cast<int>(rng.next_below(7));
+      specs[v].counts.resize(fanout);
+      int nonzero = 0;
+      for (int g = 0; g < fanout; ++g) {
+        specs[v].counts[g] = static_cast<int>(rng.next_below(4));
+        nonzero += specs[v].counts[g] > 0;
+      }
+      if (nonzero == 0) specs[v].counts[fanout - 1] = 1;
+      specs[v].bounds = multiway_bounds(specs[v].counts, b);
+    }
+    std::vector<std::vector<NodeId>> conflict(n);
+    for (int v = 0; v < n; ++v) {
+      for (int u = v + 1; u < n; ++u) {
+        if (specs[v].active && specs[u].active && rng.next_below(5) < 2) {
+          conflict[v].push_back(static_cast<NodeId>(u));
+          conflict[u].push_back(static_cast<NodeId>(v));
+        }
+      }
+    }
+    // Per directed edge (v, conflict[v][j]): a few weighted subrange pairs.
+    std::vector<std::vector<std::vector<ConflictPair>>> pairs(n);
+    for (int v = 0; v < n; ++v) {
+      for (NodeId u : conflict[v]) {
+        std::vector<ConflictPair> cps;
+        const int k = 1 + static_cast<int>(rng.next_below(3));
+        for (int i = 0; i < k; ++i) {
+          cps.push_back({static_cast<int>(rng.next_below(specs[v].counts.size())),
+                         static_cast<int>(rng.next_below(specs[u].counts.size())),
+                         1.0L / static_cast<long double>(1 + rng.next_below(3))});
+        }
+        pairs[v].push_back(std::move(cps));
+      }
+    }
+    const EdgePairsFn edge_pairs = [&](NodeId v, std::size_t j)
+        -> const std::vector<ConflictPair>& { return pairs[v][j]; };
+    for (int lambda : {1, 2, 3, w + 1}) {
+      for (bool use_pairs : {false, true}) {
+        if (!use_pairs && !diagonal) continue;
+        const SegmentDerandResult res = segment_derand_step(
+            specs, conflict, w, b, lambda, [] {}, use_pairs ? edge_pairs : nullptr);
+        for (int sel : res.selected) mix(sel);
+        mix(res.segments_fixed);
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xa658b2a4b4cae634ull);
 }
 
 // The commit rule on a triangle: a node keeps its candidate with no
