@@ -3,10 +3,10 @@
 // checks, flag-plane delivery, barrier + metrics merge) dominate the
 // clock instead of algorithmic work. Two workloads:
 //
-//   engine.roundloop.convergecast — repeated Q32.32 pair-sum
-//     convergecasts over a BFS tree of a connected G(n,p): the Lemma 2.6
-//     inner loop in isolation (dense per-wave rosters, vectorizable
-//     per-node sums, pipelined-chunk charging).
+//   engine.roundloop.convergecast — repeated Q32.32 pair waves over a
+//     BFS tree of a connected G(n,p): the Lemma 2.6 inner loop in
+//     isolation (dense per-wave rosters, per-node sums, pipelined-chunk
+//     charging).
 //
 //   engine.roundloop.bitbroadcast — a color-class MIS from the identity
 //     coloring (every class a single node): n rounds of near-empty
@@ -28,9 +28,9 @@
 #include "src/benchkit/scenario.h"
 #include "src/benchkit/verify.h"
 #include "src/coloring/mis.h"
+#include "src/congest/bfs_tree.h"
 #include "src/runtime/derand_program.h"
 #include "src/runtime/parallel_engine.h"
-#include "src/util/bits.h"
 
 namespace dcolor {
 namespace {
@@ -61,12 +61,12 @@ REGISTER_SCENARIO(Scenario{
         (*v0)[v] = static_cast<long double>(v % 97) / 128.0L;
         (*v1)[v] = static_cast<long double>(v % 41) / 64.0L;
       }
-      // Sequential reference: the saturating grand totals the tree sums
-      // must reproduce bit-for-bit.
+      // Sequential reference: the grand totals the tree sums must
+      // reproduce bit-for-bit.
       std::uint64_t want0 = 0, want1 = 0;
       for (NodeId v = 0; v < n; ++v) {
-        want0 = sat_add_u64(want0, congest::to_fixed((*v0)[v]));
-        want1 = sat_add_u64(want1, congest::to_fixed((*v1)[v]));
+        want0 += congest::to_fixed((*v0)[v]);
+        want1 += congest::to_fixed((*v1)[v]);
       }
       return Prepared{[g, eng, tree, v0, v1, want0, want1, seed = c.seed] {
         eng->reset_metrics();
@@ -74,8 +74,7 @@ REGISTER_SCENARIO(Scenario{
         std::uint64_t acc = 0;
         bool ok = true;
         for (int w = 0; w < kWaves; ++w) {
-          const auto [s0, s1] =
-              runtime::aggregate_fixed_pair_sum(*eng, *tree, *v0, *v1, &scratch);
+          const auto [s0, s1] = runtime::aggregate_pair(*eng, *tree, *v0, *v1, &scratch);
           ok = ok && s0 == want0 && s1 == want1;
           acc ^= s0 + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + s1;
         }

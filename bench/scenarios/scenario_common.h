@@ -45,11 +45,10 @@ inline OneEighthRun run_one_eighth(const Graph& g, std::uint64_t list_seed, bool
   InducedSubgraph active(g, std::vector<bool>(g.num_nodes(), true));
   const LinialResult lin = linial_coloring(net, active);
   congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel channel(tree);
   std::vector<Color> colors(g.num_nodes(), kUncolored);
   PartialColoringOptions opts;
   opts.avoid_mis = avoid_mis;
-  NetworkColoringTransport transport(net, channel);
+  NetworkColoringTransport transport(net, tree);
   OneEighthRun run;
   run.stats = color_one_eighth(transport, active, inst, colors, lin.coloring, lin.num_colors,
                                opts);

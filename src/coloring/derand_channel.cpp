@@ -7,26 +7,6 @@
 
 namespace dcolor {
 
-std::pair<long double, long double> BfsChannel::aggregate_pair(
-    congest::Network& net, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  // One convergecast wave carries both sums. BfsTree::aggregate charges
-  // the first 64-bit word (depth + ceil(64/B) - 1 rounds); the second is
-  // summed in memory and charged one round. A 128-bit pipelined wave, as
-  // ClusterChannel charges it, costs depth + ceil(128/B) - 1: at B = 36
-  // this charge is one round less (see docs/ARCHITECTURE.md, section 3).
-  const long double s0 =
-      congest::from_fixed(congest::aggregate_fixed_sum(net, *tree_, values0));
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  net.tick(1);
-  return {s0, s1};
-}
-
-void BfsChannel::broadcast_bit(congest::Network& net, int bit) {
-  tree_->broadcast(net, static_cast<std::uint64_t>(bit), 1);
-}
-
 LinialResult NetworkColoringTransport::linial(const InducedSubgraph& active,
                                               const std::vector<std::int64_t>* initial,
                                               std::int64_t initial_colors) {
@@ -34,10 +14,9 @@ LinialResult NetworkColoringTransport::linial(const InducedSubgraph& active,
 }
 
 void NetworkColoringTransport::build_tree(NodeId root) {
-  assert(channel_ == nullptr || owned_channel_.has_value());
-  tree_ = congest::BfsTree::build(*net_, root);
-  owned_channel_.emplace(*tree_);
-  channel_ = &*owned_channel_;
+  assert((tree_ == nullptr || owned_tree_.has_value()) && "bound to an external tree");
+  owned_tree_ = congest::BfsTree::build(*net_, root);
+  tree_ = &*owned_tree_;
 }
 
 void NetworkColoringTransport::exchange_along(const std::vector<std::vector<NodeId>>& targets,
@@ -68,13 +47,14 @@ void NetworkColoringTransport::exchange_along(const std::vector<std::vector<Node
 
 std::pair<long double, long double> NetworkColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  assert(channel_ != nullptr && "build_tree first (or construct with a channel)");
-  return channel_->aggregate_pair(*net_, values0, values1);
+  assert(tree_ != nullptr && "build_tree first (or construct with a tree)");
+  const auto [sum0, sum1] = tree_->aggregate_pair(*net_, values0, values1);
+  return {congest::from_fixed(sum0), congest::from_fixed(sum1)};
 }
 
 void NetworkColoringTransport::broadcast_bit(int bit) {
-  assert(channel_ != nullptr && "build_tree first (or construct with a channel)");
-  channel_->broadcast_bit(*net_, bit);
+  assert(tree_ != nullptr && "build_tree first (or construct with a tree)");
+  tree_->broadcast(*net_, static_cast<std::uint64_t>(bit), 1);
 }
 
 std::vector<bool> NetworkColoringTransport::conflict_mis(

@@ -1,29 +1,25 @@
-// Communication abstractions of the seed-fixing pipelines (Theorem 1.1,
+// The communication abstraction of the seed-fixing pipelines (Theorem 1.1,
 // Corollary 1.2 and the derandomized MIS).
 //
-// Two layers:
+// ColoringTransport is every communication primitive the shared cores
+// (color_one_eighth, list_color_subset, derandomized_mis_core) issue: the
+// Linial input coloring, the aggregation tree, one-round exchanges along
+// explicit edge lists, the Lemma 2.6 pair wave and bit broadcast over the
+// tree, and the conflict-resolution MIS. The cores are written once over
+// this interface; congest::Network provides the sequential reference
+// execution (NetworkColoringTransport below) and runtime::ParallelEngine
+// the parallel one (runtime::EngineColoringTransport in
+// src/runtime/theorem11_program.h).
 //
-//  * DerandChannel — the aggregation/broadcast channel used by the
-//    seed-fixing loop (Lemma 2.6, seed_fixing.h). Fixing one seed bit
-//    needs (a) a global sum of two per-node conditional expectations and
-//    (b) a one-bit broadcast of the chosen value. Theorem 1.1 and the MIS
-//    run this over a BFS tree of the whole communication graph (O(D)
-//    rounds per bit); Corollary 1.2 runs it over the associated tree of a
-//    network-decomposition cluster (O(log^3 n) rounds per bit, with the
-//    decomposition's congestion factor charged by the caller).
-//
-//  * ColoringTransport — every communication primitive the shared cores
-//    (color_one_eighth, list_color_subset, derandomized_mis_core) issue:
-//    the Linial input coloring, the aggregation tree, one-round exchanges
-//    along explicit edge lists, the seed-fixing channel ops, and the
-//    conflict-resolution MIS. The cores are written once over this
-//    interface; congest::Network provides the sequential reference
-//    execution (NetworkColoringTransport below) and
-//    runtime::ParallelEngine the parallel one
-//    (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).
-//    Implementations must charge identical CONGEST costs for identical
-//    call sequences — the conformance suite in
-//    tests/derand_channel_test.cpp holds them to it.
+// The tree is a BFS tree of the whole graph (Theorem 1.1, the MIS:
+// O(D) rounds per seed bit), built by build_tree, or a network-
+// decomposition cluster's associated tree bound at construction
+// (Corollary 1.2: O(log^3 n) rounds per bit, the decomposition's
+// congestion factor charged by the caller). Either way one pair wave
+// (congest::PairWave) sums both conditional expectations.
+// Implementations must charge identical CONGEST costs for identical call
+// sequences — the conformance suite in tests/derand_channel_test.cpp
+// holds them to it.
 #pragma once
 
 #include <cstdint>
@@ -36,34 +32,6 @@
 #include "src/congest/network.h"
 
 namespace dcolor {
-
-class DerandChannel {
- public:
-  virtual ~DerandChannel() = default;
-
-  // Sums values0 and values1 over all participating nodes, moving both in
-  // one convergecast wave (two Q32.32 words -> 128 bits, pipelined).
-  virtual std::pair<long double, long double> aggregate_pair(
-      congest::Network& net, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) = 0;
-
-  virtual void broadcast_bit(congest::Network& net, int bit) = 0;
-};
-
-// Channel over a BFS tree of the (connected) communication graph.
-class BfsChannel final : public DerandChannel {
- public:
-  explicit BfsChannel(const congest::BfsTree& tree) : tree_(&tree) {}
-
-  std::pair<long double, long double> aggregate_pair(
-      congest::Network& net, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(congest::Network& net, int bit) override;
-
- private:
-  const congest::BfsTree* tree_;
-};
 
 class ColoringTransport {
  public:
@@ -80,8 +48,8 @@ class ColoringTransport {
 
   // Build the aggregation tree rooted at `root` (graph must be
   // connected); later aggregate_pair/broadcast_bit calls run over it.
-  // Transports constructed around an external channel (a cluster tree)
-  // already have one and must not be asked to build another.
+  // Transports bound to an external tree (a cluster tree) already have
+  // one and must not be asked to build another.
   virtual void build_tree(NodeId root) = 0;
 
   // One round: every node v with senders[v] != 0 sends payloads[v],
@@ -96,8 +64,10 @@ class ColoringTransport {
                               const std::vector<std::uint64_t>& payloads, int bits,
                               std::vector<std::vector<NodeId>>* from) = 0;
 
-  // Seed-fixing channel ops (Lemma 2.6), over the tree from build_tree
-  // (or the externally supplied channel).
+  // Lemma 2.6, over the tree from build_tree (or the bound tree): one
+  // pair wave summing both per-node values (congest::PairWave: each must
+  // encode inside [0, (Delta+2) * 2^32], else std::logic_error), and the
+  // broadcast of the chosen bit.
   virtual std::pair<long double, long double> aggregate_pair(
       const std::vector<long double>& values0, const std::vector<long double>& values1) = 0;
   virtual void broadcast_bit(int bit) = 0;
@@ -122,15 +92,14 @@ class ColoringTransport {
 // so metrics are unchanged and the parallel engine has a golden model.
 class NetworkColoringTransport final : public ColoringTransport {
  public:
-  // Self-managed aggregation: build_tree floods a BFS tree and installs a
-  // BfsChannel over it (the Theorem 1.1 configuration).
+  // Self-managed aggregation: build_tree floods a BFS tree and binds it
+  // (the Theorem 1.1 configuration).
   explicit NetworkColoringTransport(congest::Network& net) : net_(&net) {}
 
-  // External aggregation channel (e.g. a ClusterChannel over a network-
-  // decomposition tree, as in Corollary 1.2); build_tree must not be
-  // called.
-  NetworkColoringTransport(congest::Network& net, DerandChannel& channel)
-      : net_(&net), channel_(&channel) {}
+  // Bound to an external tree (e.g. a network-decomposition cluster's
+  // tree, as in Corollary 1.2); build_tree must not be called.
+  NetworkColoringTransport(congest::Network& net, const congest::BfsTree& tree)
+      : net_(&net), tree_(&tree) {}
 
   const Graph& graph() const override { return net_->graph(); }
   int bandwidth_bits() const override { return net_->bandwidth_bits(); }
@@ -155,9 +124,8 @@ class NetworkColoringTransport final : public ColoringTransport {
 
  private:
   congest::Network* net_;
-  DerandChannel* channel_ = nullptr;
-  std::optional<congest::BfsTree> tree_;       // when self-built
-  std::optional<BfsChannel> owned_channel_;    // channel over tree_
+  const congest::BfsTree* tree_ = nullptr;
+  std::optional<congest::BfsTree> owned_tree_;  // when self-built
 };
 
 }  // namespace dcolor

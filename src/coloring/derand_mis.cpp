@@ -83,10 +83,12 @@ DerandMisResult derandomized_mis_core(ColoringTransport& t) {
     // Each node owns its marginal, taken from its first incident edge's
     // joint (nodes without edges were handled above), and the lower
     // endpoint of each edge owns its joint term; the SUM is what matters.
-    // The terms can be negative (joint mass exceeding the marginal on
-    // high-degree nodes) while the fixed-point aggregation codec is
-    // non-negative, so every node is shifted by +1 — the same offset on
-    // both candidate sums leaves the argmax unchanged.
+    // The pair wave encodes shares in [0, Delta+2] only, while
+    // marginal - sum of joints can go negative (joint mass exceeding the
+    // marginal on high-degree nodes). So every node is shifted by +1 and
+    // every owned joint term by +1: a share is 1 + marginal + sum of
+    // (1 - joint), inside [0, deg + 2]. The same integer offsets on both
+    // candidate sums leave the argmax unchanged.
     std::vector<std::size_t> first_edge(n, edges.size());
     for (std::size_t e = edges.size(); e-- > 0;) {
       first_edge[edges[e].u] = e;
@@ -100,7 +102,7 @@ DerandMisResult derandomized_mis_core(ColoringTransport& t) {
                     const NodeId v = edges[e].v;
                     if (first_edge[u] == e) x[u] += J[1][0] + J[1][1];
                     if (first_edge[v] == e) x[v] += J[0][1] + J[1][1];
-                    x[u] -= J[1][1];
+                    x[u] += 1.0L - J[1][1];
                   });
 
     // Apply: candidates = coin 1; enter MIS if no candidate neighbor.

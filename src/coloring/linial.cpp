@@ -9,10 +9,13 @@
 
 namespace dcolor {
 
+namespace {
+
 // Smallest prime q such that colors in [k] written base q (d+1 = number of
 // digits) satisfy q > max_degree * d. Such q exists and is O(Delta log k).
-std::int64_t linial_field(std::int64_t k, int max_degree, int* degree_out) {
-  for (std::int64_t q = std::max<std::int64_t>(2, max_degree + 1);; q = next_prime(q + 1)) {
+LinialStep step_for(std::int64_t k, int max_degree) {
+  max_degree = std::max(max_degree, 1);
+  for (std::int64_t q = max_degree + 1;; q = next_prime(q + 1)) {
     if (!is_prime(q)) {
       q = static_cast<std::int64_t>(next_prime(static_cast<std::uint64_t>(q)));
     }
@@ -21,10 +24,53 @@ std::int64_t linial_field(std::int64_t k, int max_degree, int* degree_out) {
     for (std::int64_t span = q; span < k; span *= q) ++digits;
     const int d = digits - 1;  // polynomial degree bound
     if (q > static_cast<std::int64_t>(max_degree) * std::max(d, 1)) {
-      *degree_out = d;
-      return q;
+      return LinialStep{
+          q, d, bit_width_of(static_cast<std::uint64_t>(std::max<std::int64_t>(k - 1, 1)))};
     }
   }
+}
+
+// One step in CONGEST: exchange colors with the active neighbors (one
+// round), then every active node picks its next color.
+void run_step(congest::Network& net, const InducedSubgraph& active,
+              std::vector<std::int64_t>& coloring, const LinialStep& st) {
+  const Graph& g = net.graph();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!active.contains(v)) continue;
+    active.for_each_neighbor(v, [&](NodeId u) {
+      net.send(v, u, static_cast<std::uint64_t>(coloring[v]), st.color_bits);
+    });
+  }
+  net.advance_round();
+
+  std::vector<std::int64_t> next(coloring.size(), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!active.contains(v)) continue;
+    // Collect neighbor colors (restricted to active neighbors).
+    std::vector<std::int64_t> nb_colors;
+    for (const congest::Incoming& m : net.inbox(v)) {
+      nb_colors.push_back(static_cast<std::int64_t>(m.payload));
+    }
+    next[v] = linial_pick_next_color(coloring[v], nb_colors, st.q, st.poly_degree);
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (active.contains(v)) coloring[v] = next[v];
+  }
+}
+
+}  // namespace
+
+LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree) {
+  LinialSchedule s;
+  std::int64_t k = initial_colors;
+  for (;;) {
+    const LinialStep st = step_for(k, active_max_degree);
+    if (st.q * st.q >= k) break;
+    s.steps.push_back(st);
+    k = st.q * st.q;
+  }
+  s.final_colors = k;
+  return s;
 }
 
 std::int64_t linial_eval(std::int64_t x, std::int64_t alpha, std::int64_t q, int degree) {
@@ -62,42 +108,16 @@ std::int64_t linial_pick_next_color(std::int64_t color, std::span<const std::int
 }
 
 std::int64_t linial_next_palette(std::int64_t k_in, int max_degree) {
-  int degree = 0;
-  const std::int64_t q = linial_field(k_in, std::max(max_degree, 1), &degree);
-  return q * q;
+  const LinialStep st = step_for(k_in, max_degree);
+  return st.q * st.q;
 }
 
 std::int64_t linial_step(congest::Network& net, const InducedSubgraph& active,
                          std::vector<std::int64_t>& coloring, std::int64_t k_in,
                          int active_max_degree) {
-  const Graph& g = net.graph();
-  int degree = 0;
-  const std::int64_t q = linial_field(k_in, std::max(active_max_degree, 1), &degree);
-
-  // Exchange current colors with neighbors (one round; log k_in bits).
-  const int color_bits = bit_width_of(static_cast<std::uint64_t>(std::max<std::int64_t>(k_in - 1, 1)));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!active.contains(v)) continue;
-    active.for_each_neighbor(v, [&](NodeId u) {
-      net.send(v, u, static_cast<std::uint64_t>(coloring[v]), color_bits);
-    });
-  }
-  net.advance_round();
-
-  std::vector<std::int64_t> next(coloring.size(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!active.contains(v)) continue;
-    // Collect neighbor colors (restricted to active neighbors).
-    std::vector<std::int64_t> nb_colors;
-    for (const congest::Incoming& m : net.inbox(v)) {
-      nb_colors.push_back(static_cast<std::int64_t>(m.payload));
-    }
-    next[v] = linial_pick_next_color(coloring[v], nb_colors, q, degree);
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (active.contains(v)) coloring[v] = next[v];
-  }
-  return q * q;
+  const LinialStep st = step_for(k_in, active_max_degree);
+  run_step(net, active, coloring, st);
+  return st.q * st.q;
 }
 
 LinialResult linial_coloring(congest::Network& net, const InducedSubgraph& active,
@@ -117,12 +137,10 @@ LinialResult linial_coloring(congest::Network& net, const InducedSubgraph& activ
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (active.contains(v)) delta = std::max(delta, active.degree(v));
   }
-  // Run steps only while they shrink the palette (checking BEFORE the
-  // step: a non-shrinking step would rewrite colors into a larger space).
-  while (linial_next_palette(res.num_colors, delta) < res.num_colors) {
-    res.num_colors = linial_step(net, active, res.coloring, res.num_colors, delta);
-    ++res.iterations;
-  }
+  const LinialSchedule schedule = plan_linial(res.num_colors, delta);
+  for (const LinialStep& st : schedule.steps) run_step(net, active, res.coloring, st);
+  res.num_colors = schedule.final_colors;
+  res.iterations = static_cast<int>(schedule.steps.size());
   return res;
 }
 

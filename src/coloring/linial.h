@@ -30,12 +30,26 @@ struct LinialResult {
   int iterations = 0;
 };
 
-// Field parameters of one reduction step: the smallest prime q (with the
-// matching polynomial-degree bound d, written to *poly_degree) such that
-// colors in [k_in] written base q satisfy q > max_degree * d. Exposed so
-// alternative executors (src/runtime) can replay the exact step schedule
-// the Network-driven implementation follows.
-std::int64_t linial_field(std::int64_t k_in, int max_degree, int* poly_degree);
+// Parameters of one reduction step from a k-coloring: the smallest prime
+// q (and the matching polynomial-degree bound) such that colors in [k]
+// written base q satisfy q > max_degree * degree, and the declared width
+// of the step's color exchange.
+struct LinialStep {
+  std::int64_t q = 0;      // field size of this step
+  int poly_degree = 0;     // degree bound of the color polynomials
+  int color_bits = 0;      // declared width of this step's color exchange
+};
+
+struct LinialSchedule {
+  std::vector<LinialStep> steps;
+  std::int64_t final_colors = 0;
+};
+
+// The steps linial_coloring runs from a k-coloring on a subgraph of the
+// given max degree: a step runs only while it shrinks the palette. The
+// schedule depends on nothing else, so both executors replay it
+// (src/runtime/linial_program.h plans it up front).
+LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree);
 
 // f_color(alpha) over F_q, where f_color's coefficient vector is the
 // base-q representation of `color` (degree <= poly_degree <= 63).

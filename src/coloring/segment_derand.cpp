@@ -34,7 +34,8 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
 
   // The nodes the objective reads: active nodes and their conflict
   // neighbors, ascending. Per-chunk and per-candidate work runs over them
-  // only.
+  // only. The diagonal objective reads a neighbor's table at every
+  // subrange of the node's own fanout, so the fanouts must match.
   BitwiseChunkState chunks(w, b);
   chunks.reset(n);
   {
@@ -42,7 +43,14 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
     for (NodeId v = 0; v < n; ++v) {
       if (!specs[v].active) continue;
       mark[v] = 1;
-      for (NodeId u : conflict[v]) mark[u] = 1;
+      for (NodeId u : conflict[v]) {
+        mark[u] = 1;
+        if (edge_pairs == nullptr && specs[u].counts.size() != specs[v].counts.size()) {
+          throw std::invalid_argument(
+              "segment_derand_step: the diagonal objective needs equal fanouts on every "
+              "conflict edge");
+        }
+      }
     }
     for (NodeId v = 0; v < n; ++v) {
       if (mark[v]) chunks.add(v, specs[v].id, specs[v].bounds);
@@ -77,7 +85,6 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
             }
           } else {
             const int fanout = static_cast<int>(specs[v].counts.size());
-            assert(specs[conflict[v][j]].counts.size() == specs[v].counts.size());
             for (int g = 0; g < fanout; ++g) {
               const int kg = specs[v].counts[g];
               if (kg == 0) continue;

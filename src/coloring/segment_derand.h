@@ -61,8 +61,9 @@ struct ConflictPair {
 // Per-directed-edge conflict structure: pairs(v, j) describes the edge
 // (v, conflict[v][j]). nullptr => the DIAGONAL objective g_v == g_u with
 // weight 1/counts[g] (the prefix-extension potential), which requires
-// conflict neighbors to have equal fanouts. Lemma 4.2 supplies
-// color-value matchings instead.
+// conflict neighbors to have equal fanouts (segment_derand_step throws
+// std::invalid_argument otherwise). Lemma 4.2 supplies color-value
+// matchings instead.
 using EdgePairsFn =
     std::function<const std::vector<ConflictPair>&(NodeId v, std::size_t j)>;
 

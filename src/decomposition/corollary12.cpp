@@ -6,67 +6,12 @@
 
 #include "src/coloring/linial.h"
 #include "src/obs/obs.h"
-#include "src/util/bits.h"
 
 namespace dcolor {
 
-ClusterChannel::ClusterChannel(const Graph& g, const Cluster& cluster)
-    : cluster_(&cluster), depth_(cluster.tree_depth) {
-  level_.assign(g.num_nodes(), -1);
-  parent_.assign(g.num_nodes(), -1);
-  // Recompute depths from parents (tree_nodes are in insertion order, so a
-  // parent always precedes its children).
-  for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
-    const NodeId v = cluster.tree_nodes[i];
-    const NodeId p = cluster.tree_parent[i];
-    parent_[v] = p;
-    level_[v] = (p < 0) ? 0 : level_[p] + 1;
-    depth_ = std::max(depth_, level_[v]);
-  }
-}
-
-std::pair<long double, long double> ClusterChannel::aggregate_pair(
-    congest::Network& net, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  // Convergecast over the cluster tree: one wave, both sums (the second
-  // 64-bit word rides pipelined chunks, charged below).
-  std::vector<std::uint64_t> acc0(net.graph().num_nodes(), 0);
-  std::vector<std::uint64_t> acc1(net.graph().num_nodes(), 0);
-  for (NodeId v : cluster_->tree_nodes) {
-    acc0[v] = congest::to_fixed(values0[v]);
-    acc1[v] = congest::to_fixed(values1[v]);
-  }
-  const int bw = net.bandwidth_bits();
-  const int chunks = (128 + bw - 1) / bw;
-  for (int lev = depth_; lev >= 1; --lev) {
-    for (NodeId v : cluster_->tree_nodes) {
-      if (level_[v] != lev) continue;
-      const int first_bits = std::min(64, bw);
-      const std::uint64_t first =
-          first_bits >= 64 ? acc0[v] : (acc0[v] & ((std::uint64_t{1} << first_bits) - 1));
-      net.send(v, parent_[v], first, first_bits);
-    }
-    net.advance_round();
-    for (NodeId v : cluster_->tree_nodes) {
-      if (level_[v] != lev) continue;
-      const NodeId p = parent_[v];
-      acc0[p] = sat_add_u64(acc0[p], acc0[v]);
-      acc1[p] = sat_add_u64(acc1[p], acc1[v]);
-    }
-  }
-  if (chunks > 1) net.tick(chunks - 1);
-  const NodeId root = cluster_->root;
-  return {congest::from_fixed(acc0[root]), congest::from_fixed(acc1[root])};
-}
-
-void ClusterChannel::broadcast_bit(congest::Network& net, int bit) {
-  for (int lev = 0; lev < depth_; ++lev) {
-    for (NodeId v : cluster_->tree_nodes) {
-      if (level_[v] != lev + 1) continue;
-      net.send(parent_[v], v, static_cast<std::uint64_t>(bit), 1);
-    }
-    net.advance_round();
-  }
+congest::BfsTree cluster_tree(NodeId n, const Cluster& cluster) {
+  return congest::BfsTree::from_parents(n, cluster.tree_nodes, cluster.tree_parent,
+                                        cluster.tree_depth);
 }
 
 void Corollary12Transports::run_cluster_class(const std::vector<const Cluster*>& batch,
@@ -219,8 +164,8 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
 namespace {
 
 // Sequential reference backend: a congest::Network over the whole graph
-// for the global phases, and per cluster a private Network paired with a
-// ClusterChannel over the cluster's associated tree.
+// for the global phases, and per cluster a private Network paired with the
+// cluster's associated tree.
 class NetworkCorollary12Transports final : public Corollary12Transports {
  public:
   NetworkCorollary12Transports(const Graph& g, int bandwidth_bits)
@@ -230,10 +175,9 @@ class NetworkCorollary12Transports final : public Corollary12Transports {
 
   ColoringTransport& cluster(const Cluster& c) override {
     cluster_transport_.reset();
-    cluster_channel_.reset();
     cluster_net_.emplace(*g_, gnet_.bandwidth_bits());
-    cluster_channel_.emplace(*g_, c);
-    cluster_transport_.emplace(*cluster_net_, *cluster_channel_);
+    cluster_tree_ = cluster_tree(g_->num_nodes(), c);
+    cluster_transport_.emplace(*cluster_net_, *cluster_tree_);
     return *cluster_transport_;
   }
 
@@ -242,7 +186,7 @@ class NetworkCorollary12Transports final : public Corollary12Transports {
   congest::Network gnet_;
   NetworkColoringTransport global_;
   std::optional<congest::Network> cluster_net_;
-  std::optional<ClusterChannel> cluster_channel_;
+  std::optional<congest::BfsTree> cluster_tree_;
   std::optional<NetworkColoringTransport> cluster_transport_;
 };
 

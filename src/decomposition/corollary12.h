@@ -17,7 +17,7 @@
 // Like Theorem 1.1 (theorem11_run), the driver is written once over the
 // ColoringTransport abstraction: corollary12_run issues every
 // communication step (global Linial, per-cluster Lemma 2.1 loops over a
-// cluster-tree channel, the cross-cluster pruning exchange) through
+// cluster's tree, the cross-cluster pruning exchange) through
 // transports supplied by a Corollary12Transports backend.
 // corollary12_solve runs it on the sequential congest::Network backend;
 // runtime::corollary12_coloring (src/runtime/corollary12_program.h) runs
@@ -48,11 +48,11 @@ struct Corollary12Result {
 // Supplies the transports the shared Corollary 1.2 driver runs over: one
 // long-lived global transport (Linial input coloring + the per-class
 // cross-cluster pruning exchange) and private per-cluster transports,
-// whose seed-fixing channels aggregate over each cluster's associated
-// tree. Clusters of one color class are pairwise non-adjacent
-// (Definition 3.1), so each gets its own simulator and a backend may run
-// a whole class CONCURRENTLY; the driver charges the max of their rounds
-// times the congestion factor either way.
+// whose pair waves run over each cluster's associated tree. Clusters of
+// one color class are pairwise non-adjacent (Definition 3.1), so each
+// gets its own simulator and a backend may run a whole class
+// CONCURRENTLY; the driver charges the max of their rounds times the
+// congestion factor either way.
 class Corollary12Transports {
  public:
   virtual ~Corollary12Transports() = default;
@@ -60,7 +60,7 @@ class Corollary12Transports {
   virtual ColoringTransport& global() = 0;
 
   // What the driver runs on one cluster: color it through the supplied
-  // transport (whose cluster-tree channel is pre-installed).
+  // transport (bound to the cluster's tree).
   using ClusterWork = std::function<void(const Cluster&, ColoringTransport&)>;
 
   // Runs `work` on every cluster of `batch` — all clusters of ONE
@@ -77,8 +77,8 @@ class Corollary12Transports {
                                  const ClusterWork& work,
                                  std::vector<congest::Metrics>* out_metrics);
 
-  // Fresh transport for one cluster, same bandwidth as global(), with
-  // the cluster-tree channel pre-installed (build_tree is never called).
+  // Fresh transport for one cluster, same bandwidth as global(), bound
+  // to the cluster's tree (build_tree is never called).
   // The reference is invalidated by the next cluster() or
   // run_cluster_class() call on the same backend.
   virtual ColoringTransport& cluster(const Cluster& c) = 0;
@@ -95,24 +95,9 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
 Corollary12Result corollary12_solve(const Graph& g, ListInstance inst,
                                     const PartialColoringOptions& opts = {});
 
-// Channel that aggregates over one cluster's associated tree. Exposed for
-// tests.
-class ClusterChannel final : public DerandChannel {
- public:
-  ClusterChannel(const Graph& g, const Cluster& cluster);
-
-  std::pair<long double, long double> aggregate_pair(
-      congest::Network& net, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-  void broadcast_bit(congest::Network& net, int bit) override;
-
-  int depth() const { return depth_; }
-
- private:
-  const Cluster* cluster_;
-  int depth_;
-  std::vector<int> level_;        // node -> tree depth (-1 if not in tree)
-  std::vector<NodeId> parent_;    // node -> tree parent
-};
+// A cluster's associated tree (Steiner nodes included) as an aggregation
+// tree on an n-node graph. Its depth is the larger of cluster.tree_depth
+// and the deepest level.
+congest::BfsTree cluster_tree(NodeId n, const Cluster& cluster);
 
 }  // namespace dcolor

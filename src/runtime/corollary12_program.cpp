@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/congest/bfs_tree.h"  // to_fixed/from_fixed codec
 
 namespace dcolor::runtime {
 
@@ -19,7 +18,7 @@ void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out) {
     out->parent.resize(static_cast<std::size_t>(n));
   }
   // tree_nodes lists a parent before its children, so one forward sweep
-  // settles every level (mirroring ClusterChannel's constructor).
+  // settles every level (mirroring congest::BfsTree::from_parents).
   for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
     const NodeId v = cluster.tree_nodes[i];
     const NodeId p = cluster.tree_parent[i];
@@ -31,20 +30,6 @@ void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out) {
   out->sorted_scratch.assign(cluster.tree_nodes.begin(), cluster.tree_nodes.end());
   std::sort(out->sorted_scratch.begin(), out->sorted_scratch.end());
   finalize_tree_positions(g, out, out->sorted_scratch);
-}
-
-std::pair<long double, long double> ClusterEngineChannel::aggregate_pair(
-    ParallelEngine& eng, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  const auto [sum0, sum1] = aggregate_fixed_pair_sum(eng, tree_, values0, values1, &scratch_);
-  return {congest::from_fixed(sum0), congest::from_fixed(sum1)};
-}
-
-void ClusterEngineChannel::broadcast_bit(ParallelEngine& eng, int bit) {
-  // The rostered tree broadcast already matches ClusterChannel's
-  // charging: depth rounds, one 1-bit message per tree edge (a 1-bit
-  // payload never needs extra pipelined chunks).
-  tree_broadcast(eng, tree_, static_cast<std::uint64_t>(bit), 1);
 }
 
 EngineCorollary12Transports::EngineCorollary12Transports(const Graph& g, int num_threads,
@@ -59,13 +44,13 @@ EngineCorollary12Transports::ClusterSlot& EngineCorollary12Transports::slot(int 
     // Built once, then reused for every later cluster this worker runs:
     // ParallelEngine::run is reusable (each run gets a fresh stamp
     // space) and resetting Metrics cannot alias stale inbox stamps, so
-    // rebinding the channel + zeroing the counters gives a bit-identical
+    // rebinding the tree + zeroing the counters gives a bit-identical
     // fresh transport without rebuilding the CSR buffers or respawning
-    // threads per cluster. The channel (and its TreeData + scratch) is
-    // likewise reused: rebind touches only the new cluster's nodes.
+    // threads per cluster. The TreeData is likewise reused: rebinding
+    // touches only the new cluster's nodes.
     s.transport = std::make_unique<EngineColoringTransport>(*g_, 1, global_.bandwidth_bits());
-    s.channel = std::make_unique<ClusterEngineChannel>();
-    s.transport->set_channel(s.channel.get());
+    s.tree = std::make_unique<TreeData>();
+    s.transport->bind_tree(*s.tree);
   } else {
     s.transport->engine().reset_metrics();
   }
@@ -74,7 +59,7 @@ EngineCorollary12Transports::ClusterSlot& EngineCorollary12Transports::slot(int 
 
 ColoringTransport& EngineCorollary12Transports::cluster(const Cluster& c) {
   ClusterSlot& s = slot(0);
-  s.channel->rebind(*g_, c);
+  cluster_tree_data(*g_, c, s.tree.get());
   return *s.transport;
 }
 
@@ -91,7 +76,7 @@ void EngineCorollary12Transports::run_cluster_class(const std::vector<const Clus
   out_metrics->assign(batch.size(), congest::Metrics{});
   global_.engine().pool().run_tasks(batch.size(), [&](std::size_t i, int worker) {
     ClusterSlot& s = slot(worker);
-    s.channel->rebind(*g_, *batch[i]);
+    cluster_tree_data(*g_, *batch[i], s.tree.get());
     work(*batch[i], *s.transport);
     (*out_metrics)[i] = s.transport->metrics();
   });

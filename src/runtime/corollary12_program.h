@@ -1,15 +1,15 @@
-// Corollary 1.2 on the parallel engine: the cluster-scoped EngineChannel
-// (engine counterpart of dcolor::ClusterChannel) that aggregates and
-// broadcasts over one network-decomposition cluster's associated tree,
-// and the Corollary12Transports backend that injects it into per-cluster
-// EngineColoringTransports via set_channel (build_tree is never called —
-// the decomposition already supplies the tree) and runs the clusters of
-// one decomposition color class CONCURRENTLY over the shared thread pool.
+// Corollary 1.2 on the parallel engine: the Corollary12Transports backend
+// whose per-cluster EngineColoringTransports are bound (bind_tree) to a
+// TreeData of one network-decomposition cluster's associated tree
+// (build_tree is never called — the decomposition already supplies the
+// tree), and which runs the clusters of one decomposition color class
+// CONCURRENTLY over the shared thread pool.
 //
-// Every program charges the exact CONGEST costs of the Network reference
-// (ClusterChannel): identical rounds, messages, bit totals and max
-// message size. Combined with the shared driver corollary12_run this
-// yields runtime::corollary12_coloring with bit-identical colors,
+// The cluster tree and its pair waves charge the exact CONGEST costs of
+// the Network reference (congest::BfsTree over dcolor::cluster_tree):
+// identical rounds, messages, bit totals and max message size. Combined
+// with the shared driver corollary12_run this yields
+// runtime::corollary12_coloring with bit-identical colors,
 // decomposition, round accounting (including the kappa congestion factor
 // and the per-class global pruning round) and Metrics at every thread
 // count — tests/corollary12_engine_test.cpp holds it to that.
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/decomposition/corollary12.h"
@@ -30,7 +29,7 @@ namespace dcolor::runtime {
 // the parent arrays (a parent always precedes its children in
 // tree_nodes), rosters/CSR positions restricted to the tree's nodes so
 // the level-synchronous waves skip the rest of the graph. Steiner nodes
-// are tree nodes like any other. Depth mirrors ClusterChannel:
+// are tree nodes like any other. Depth mirrors dcolor::cluster_tree:
 // max(cluster.tree_depth, deepest level). Rebinding touches only
 // O(cluster size log cluster size) work — the n-sized TreeData arrays
 // are written only at the new tree's nodes and never reset (see
@@ -38,39 +37,9 @@ namespace dcolor::runtime {
 // thousands of clusters a decomposition produces.
 void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out);
 
-// EngineChannel over a cluster tree — the engine mirror of
-// ClusterChannel, with identical charging: aggregate_pair runs one
-// convergecast wave (depth rounds, one min(64,B)-bit message per tree
-// edge) carrying both Q32.32 saturating sums, plus ceil(128/B)-1 charged
-// pipelined rounds; broadcast_bit runs depth rounds of 1-bit flag-plane
-// messages down the tree. Default-constructible and rebindable: one
-// channel per pool worker serves every cluster that worker runs, reusing
-// its TreeData and aggregation scratch.
-class ClusterEngineChannel final : public EngineChannel {
- public:
-  ClusterEngineChannel() = default;
-  ClusterEngineChannel(const Graph& g, const Cluster& cluster) { rebind(g, cluster); }
-
-  void rebind(const Graph& g, const Cluster& cluster) { cluster_tree_data(g, cluster, &tree_); }
-
-  std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(ParallelEngine& eng, int bit) override;
-
-  int depth() const { return tree_.depth; }
-  const TreeData& tree() const { return tree_; }
-
- private:
-  TreeData tree_;
-  AggregateScratch scratch_;
-};
-
 // Parallel backend for corollary12_run: an EngineColoringTransport over
 // the whole graph for the global phases (Linial + pruning exchanges) and
-// per-cluster EngineColoringTransports whose channels are
-// ClusterEngineChannels over the clusters' trees.
+// per-cluster EngineColoringTransports bound to the clusters' trees.
 //
 // Clusters of one decomposition color class actually run concurrently:
 // run_cluster_class dispatches the class over the global engine's thread
@@ -92,14 +61,14 @@ class EngineCorollary12Transports final : public Corollary12Transports {
                          std::vector<congest::Metrics>* out_metrics) override;
 
  private:
-  // One single-threaded per-cluster transport + rebindable channel per
+  // One single-threaded per-cluster transport + rebindable tree per
   // pool worker: parallelism comes from running many independent
   // clusters at once, not from splitting one (small) cluster across
-  // threads. The channel's TreeData and AggregateScratch persist across
+  // threads. The TreeData and the transport's scratch persist across
   // clusters, so the steady state allocates nothing per cluster.
   struct ClusterSlot {
     std::unique_ptr<EngineColoringTransport> transport;
-    std::unique_ptr<ClusterEngineChannel> channel;
+    std::unique_ptr<TreeData> tree;
   };
 
   // Worker `worker`'s reusable slot, metrics reset; built on first use.

@@ -1,10 +1,9 @@
 #include "src/runtime/derand_program.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
-#include "src/congest/bfs_tree.h"  // to_fixed/from_fixed codec
+#include "src/congest/bfs_tree.h"  // PairWave
 #include "src/util/bits.h"
 
 namespace dcolor::runtime {
@@ -97,26 +96,19 @@ class BfsBuildProgram final : public NodeProgram {
   std::size_t begin_ = 0, end_ = 1;  // this round's frontier in bfs_frontier
 };
 
-// Level-synchronous convergecast (the NodeProgram form of
-// congest::BfsTree::aggregate): in phase r the nodes at level depth-r
-// combine their children's K saturating accumulators and forward toward
-// the root. Only the first accumulator's first bandwidth-sized chunk
-// travels through the simulator — the parent reads the child's full
-// accumulators across the phase barrier (a contiguous children-CSR scan;
-// the staged messages stay for CONGEST accounting and contract checks),
-// and every further word/chunk is charged by the caller via tick —
-// exactly the accounting the Network implementations use
-// (BfsTree::aggregate at K=1, ClusterChannel::aggregate_pair at K=2).
-// `plain_sums` (see aggregate_fixed_sum) swaps the saturating adds for
-// plain uint64_t adds when the encode-time overflow bound proved them
-// bit-identical.
-template <std::size_t K>
-class TreeAggregateProgram final : public NodeProgram {
+// The pair wave (the NodeProgram form of congest::BfsTree::aggregate_pair):
+// in phase r the nodes at level depth-r add their children's two
+// accumulators and forward toward the root. Only the first accumulator's
+// first chunk travels through the simulator — the parent reads the
+// child's full accumulators across the phase barrier (a contiguous
+// children-CSR scan; the staged messages stay for CONGEST accounting and
+// contract checks), and the remaining chunks are charged by the caller
+// via tick, exactly as on the Network.
+class PairWaveProgram final : public NodeProgram {
  public:
-  TreeAggregateProgram(const TreeData& t, std::array<std::uint64_t*, K> acc,
-                       int bits_per_value, int bandwidth, bool plain_sums)
-      : tree_(&t), acc_(acc), plain_(plain_sums) {
-    first_chunk_bits_ = std::min(bits_per_value, bandwidth);
+  PairWaveProgram(const TreeData& t, std::uint64_t* acc0, std::uint64_t* acc1, int message_bits)
+      : tree_(&t), acc0_(acc0), acc1_(acc1), bits_(message_bits) {
+    mask_ = bits_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits_) - 1;
   }
 
   void init(NodeId v, Outbox& out) override {
@@ -127,22 +119,14 @@ class TreeAggregateProgram final : public NodeProgram {
     if (tree_->level[v] != tree_->depth - static_cast<int>(round)) return;
     const std::int64_t off = tree_->child_off[v];
     const std::int32_t cnt = tree_->child_cnt[v];
-    // Sums over children in ascending-id order (matching the Network
-    // inbox order; both add flavors are order-independent anyway).
-    if (plain_) {
-      std::array<std::uint64_t, K> s;
-      for (std::size_t k = 0; k < K; ++k) s[k] = acc_[k][v];
-      for (std::int32_t j = 0; j < cnt; ++j) {
-        const NodeId c = tree_->children_flat[off + j];
-        for (std::size_t k = 0; k < K; ++k) s[k] += acc_[k][c];
-      }
-      for (std::size_t k = 0; k < K; ++k) acc_[k][v] = s[k];
-    } else {
-      for (std::int32_t j = 0; j < cnt; ++j) {
-        const NodeId c = tree_->children_flat[off + j];
-        for (std::size_t k = 0; k < K; ++k) acc_[k][v] = sat_add_u64(acc_[k][v], acc_[k][c]);
-      }
+    std::uint64_t s0 = acc0_[v], s1 = acc1_[v];
+    for (std::int32_t j = 0; j < cnt; ++j) {
+      const NodeId c = tree_->children_flat[off + j];
+      s0 += acc0_[c];
+      s1 += acc1_[c];
     }
+    acc0_[v] = s0;
+    acc1_[v] = s1;
     if (v != tree_->root) send_up(v, out);
   }
 
@@ -154,25 +138,16 @@ class TreeAggregateProgram final : public NodeProgram {
     return tree_->level_roster(tree_->depth - static_cast<int>(round));
   }
 
-  std::array<std::uint64_t, K> result() const {
-    std::array<std::uint64_t, K> r;
-    for (std::size_t k = 0; k < K; ++k) r[k] = acc_[k][tree_->root];
-    return r;
-  }
-
  private:
   void send_up(NodeId v, Outbox& out) {
-    const std::uint64_t first_chunk =
-        first_chunk_bits_ >= 64
-            ? acc_[0][v]
-            : (acc_[0][v] & ((std::uint64_t{1} << first_chunk_bits_) - 1));
-    out.send_nth(tree_->parent_nth[v], first_chunk, first_chunk_bits_);
+    out.send_nth(tree_->parent_nth[v], acc0_[v] & mask_, bits_);
   }
 
   const TreeData* tree_;
-  std::array<std::uint64_t*, K> acc_;
-  bool plain_;
-  int first_chunk_bits_;
+  std::uint64_t* acc0_;
+  std::uint64_t* acc1_;
+  int bits_;
+  std::uint64_t mask_;
 };
 
 // Root-to-all broadcast over the tree (NodeProgram form of
@@ -223,23 +198,6 @@ class TreeBroadcastProgram final : public NodeProgram {
   std::uint64_t first_chunk_;
   int first_chunk_bits_;
 };
-
-// Encodes values[v] for every tree node into acc (Q32.32), returning
-// whether the grand total provably cannot saturate: the running
-// __int128 total of the (non-negative) encodings bounds every partial
-// sum of the convergecast, so total <= UINT64_MAX makes plain adds
-// bit-identical to sat_add_u64.
-bool encode_tree_values(const TreeData& tree, const std::vector<long double>& values,
-                        std::vector<std::uint64_t>& acc, NodeId n) {
-  acc.resize(static_cast<std::size_t>(n));
-  unsigned __int128 total = 0;
-  for (const NodeId v : tree.level_nodes) {
-    const std::uint64_t enc = congest::to_fixed(values[v]);
-    acc[v] = enc;
-    total += enc;
-  }
-  return total <= static_cast<unsigned __int128>(~std::uint64_t{0});
-}
 
 }  // namespace
 
@@ -322,36 +280,23 @@ void finalize_tree_positions(const Graph& g, TreeData* out, const std::vector<No
   out->level_off[0] = 0;
 }
 
-std::uint64_t aggregate_fixed_sum(ParallelEngine& eng, const TreeData& tree,
-                                  const std::vector<long double>& values,
-                                  AggregateScratch* scratch) {
-  AggregateScratch local;
-  if (scratch == nullptr) scratch = &local;
-  const bool plain = encode_tree_values(tree, values, scratch->acc0, eng.graph().num_nodes());
-  constexpr int kBits = 64;
-  TreeAggregateProgram<1> prog(tree, {scratch->acc0.data()}, kBits, eng.bandwidth_bits(),
-                               plain);
+std::pair<std::uint64_t, std::uint64_t> aggregate_pair(ParallelEngine& eng, const TreeData& tree,
+                                                       const std::vector<long double>& values0,
+                                                       const std::vector<long double>& values1,
+                                                       AggregateScratch* scratch) {
+  const congest::PairWave wave(eng.graph());
+  const std::size_t n = static_cast<std::size_t>(eng.graph().num_nodes());
+  scratch->acc0.resize(n);
+  scratch->acc1.resize(n);
+  for (const NodeId v : tree.level_nodes) {
+    scratch->acc0[v] = wave.encode(values0[v]);
+    scratch->acc1[v] = wave.encode(values1[v]);
+  }
+  const int bw = eng.bandwidth_bits();
+  PairWaveProgram prog(tree, scratch->acc0.data(), scratch->acc1.data(), wave.message_bits(bw));
   eng.run(prog);
-  const int chunks = (kBits + eng.bandwidth_bits() - 1) / eng.bandwidth_bits();
-  if (chunks > 1) eng.tick(chunks - 1);
-  return prog.result()[0];
-}
-
-std::pair<std::uint64_t, std::uint64_t> aggregate_fixed_pair_sum(
-    ParallelEngine& eng, const TreeData& tree, const std::vector<long double>& values0,
-    const std::vector<long double>& values1, AggregateScratch* scratch) {
-  AggregateScratch local;
-  if (scratch == nullptr) scratch = &local;
-  const NodeId n = eng.graph().num_nodes();
-  const bool plain0 = encode_tree_values(tree, values0, scratch->acc0, n);
-  const bool plain1 = encode_tree_values(tree, values1, scratch->acc1, n);
-  TreeAggregateProgram<2> prog(tree, {scratch->acc0.data(), scratch->acc1.data()}, 64,
-                               eng.bandwidth_bits(), plain0 && plain1);
-  eng.run(prog);
-  const int chunks = (128 + eng.bandwidth_bits() - 1) / eng.bandwidth_bits();
-  if (chunks > 1) eng.tick(chunks - 1);
-  const auto sums = prog.result();
-  return {sums[0], sums[1]};
+  eng.tick(wave.pipelined_rounds(bw));
+  return {scratch->acc0[tree.root], scratch->acc1[tree.root]};
 }
 
 void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t value, int bits) {
@@ -524,25 +469,6 @@ std::vector<bool> MisColorClassesProgram::in_mis() const {
   std::vector<bool> out(in_mis_.size());
   for (std::size_t v = 0; v < in_mis_.size(); ++v) out[v] = in_mis_[v] != 0;
   return out;
-}
-
-std::pair<long double, long double> TreeEngineChannel::aggregate_pair(
-    ParallelEngine& eng, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  // One convergecast wave carries both sums, exactly as BfsChannel: the
-  // first word is aggregated over the tree, the second rides the same
-  // wave as one extra pipelined chunk (summed in-memory, one charged
-  // round).
-  const long double s0 =
-      congest::from_fixed(aggregate_fixed_sum(eng, *tree_, values0, &scratch_));
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  eng.tick(1);
-  return {s0, s1};
-}
-
-void TreeEngineChannel::broadcast_bit(ParallelEngine& eng, int bit) {
-  tree_broadcast(eng, *tree_, static_cast<std::uint64_t>(bit), 1);
 }
 
 }  // namespace dcolor::runtime

@@ -1,8 +1,7 @@
 // Shared derandomization NodePrograms: the engine-side building blocks of
 // every seed-fixing pipeline (the derandomized MIS and the Theorem 1.1
 // list coloring) — BFS-tree construction, level-synchronous tree
-// aggregation and broadcast, one-round exchanges, the color-class MIS,
-// and the EngineChannel counterpart of DerandChannel.
+// pair wave and broadcast, one-round exchanges, and the color-class MIS.
 //
 // Each program is the NodeProgram form of one congest::Network primitive
 // and charges the exact CONGEST costs of its reference implementation
@@ -84,34 +83,26 @@ void build_tree_data(ParallelEngine& eng, NodeId root, TreeData* out);
 // (cluster_tree_data) constructions.
 void finalize_tree_positions(const Graph& g, TreeData* out, const std::vector<NodeId>& nodes);
 
-// Reusable O(n) encode buffers for the aggregations below: owned by the
-// channels/transports so the per-seed-bit convergecasts of the Lemma 2.6
-// loop allocate nothing in the steady state.
+// Reusable O(n) encode buffers of the pair wave: owned by the transports
+// so the per-seed-bit waves of the Lemma 2.6 loop allocate nothing in the
+// steady state.
 struct AggregateScratch {
   std::vector<std::uint64_t> acc0, acc1;
 };
 
-// Level-synchronous convergecast of the saturating sum of Q32.32
-// encodings over the tree (the engine form of congest::aggregate_fixed_sum
-// + BfsTree::aggregate): depth rounds plus ceil(64/B)-1 charged pipelined
-// rounds, one message per tree edge. When the grand total of the
-// encodings fits std::uint64_t (checked once at encode time against an
-// __int128 running total), the per-node sums run as plain uint64_t adds —
-// bit-identical to the saturating adds, since non-negative addends can
-// only saturate past the grand total.
-std::uint64_t aggregate_fixed_sum(ParallelEngine& eng, const TreeData& tree,
-                                  const std::vector<long double>& values,
-                                  AggregateScratch* scratch = nullptr);
-
-// Convergecast of the saturating sums of TWO Q32.32 encodings in ONE
-// wave over the tree (the engine form of ClusterChannel::aggregate_pair):
-// depth rounds plus ceil(128/B)-1 charged pipelined rounds, one
-// min(64,B)-bit message per tree edge carrying the first word's first
-// chunk — the second word rides the charged pipelined chunks, summed
-// across the phase barrier. Only tree nodes contribute.
-std::pair<std::uint64_t, std::uint64_t> aggregate_fixed_pair_sum(
-    ParallelEngine& eng, const TreeData& tree, const std::vector<long double>& values0,
-    const std::vector<long double>& values1, AggregateScratch* scratch = nullptr);
+// The pair wave over the tree (the engine form of
+// congest::BfsTree::aggregate_pair, under the same congest::PairWave
+// contract): sums the Q32.32 encodings of values0 and values1 over the
+// tree's nodes with plain uint64 adds and returns both totals. Depth
+// rounds plus ceil(2W/B) - 1 charged pipelined rounds, one min(W,B)-bit
+// message per tree edge carrying the first sum's first chunk; the rest
+// rides the charged chunks, summed across the phase barrier. Throws
+// std::logic_error when a tree node's value encodes outside [0, (Delta+2)
+// * 2^32], std::invalid_argument when n * (Delta+2) >= 2^32.
+std::pair<std::uint64_t, std::uint64_t> aggregate_pair(ParallelEngine& eng, const TreeData& tree,
+                                                       const std::vector<long double>& values0,
+                                                       const std::vector<long double>& values1,
+                                                       AggregateScratch* scratch);
 
 // Root-to-all broadcast of one `bits`-bit value over the tree (the engine
 // form of BfsTree::broadcast): depth rounds plus charged pipelining, one
@@ -201,39 +192,6 @@ class MisColorClassesProgram final : public NodeProgram {
   std::vector<NodeId> by_color_nodes_;
   std::vector<NodeId> roster_scratch_;      // reserve(n): zero-alloc rosters
   std::vector<std::int64_t> seen_round_;    // roster dedupe stamps
-};
-
-// Engine-side counterpart of DerandChannel: the aggregation/broadcast
-// pair of the seed-fixing loop (Lemma 2.6), as NodeProgram runs. The
-// BFS-tree instance below serves Theorem 1.1; a cluster-tree instance
-// over a network-decomposition cluster (Corollary 1.2) implements the
-// same interface against a cluster's associated tree.
-class EngineChannel {
- public:
-  virtual ~EngineChannel() = default;
-
-  virtual std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) = 0;
-
-  virtual void broadcast_bit(ParallelEngine& eng, int bit) = 0;
-};
-
-// Channel over a BFS TreeData of the (connected) communication graph —
-// the engine mirror of BfsChannel, with identical charging.
-class TreeEngineChannel final : public EngineChannel {
- public:
-  explicit TreeEngineChannel(const TreeData& tree) : tree_(&tree) {}
-
-  std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(ParallelEngine& eng, int bit) override;
-
- private:
-  const TreeData* tree_;
-  AggregateScratch scratch_;
 };
 
 }  // namespace dcolor::runtime

@@ -1,30 +1,9 @@
 #include "src/runtime/linial_program.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
-#include "src/util/bits.h"
-
 namespace dcolor::runtime {
-
-LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree) {
-  LinialSchedule s;
-  std::int64_t k = initial_colors;
-  // Mirror of the linial_coloring driver loop: run a step only while it
-  // shrinks the palette.
-  for (;;) {
-    int degree = 0;
-    const std::int64_t q = linial_field(k, std::max(active_max_degree, 1), &degree);
-    if (q * q >= k) break;
-    const int color_bits =
-        bit_width_of(static_cast<std::uint64_t>(std::max<std::int64_t>(k - 1, 1)));
-    s.steps.push_back(LinialStep{q, degree, color_bits});
-    k = q * q;
-  }
-  s.final_colors = k;
-  return s;
-}
 
 LinialProgram::LinialProgram(const InducedSubgraph& active,
                              std::vector<std::int64_t> coloring, std::int64_t initial_colors)

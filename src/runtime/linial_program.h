@@ -1,8 +1,9 @@
 // Linial color reduction in NodeProgram form, executed by the
-// ParallelEngine. The step schedule (field size q, polynomial degree,
-// message width per iteration) depends only on the initial palette and
-// the active max degree, so it is planned up front and replayed exactly
-// as the congest::Network implementation would: the adapter below
+// ParallelEngine. The step schedule (dcolor::plan_linial: field size q,
+// polynomial degree, message width per iteration) depends only on the
+// initial palette and the active max degree, so it is planned up front
+// and replayed exactly as the congest::Network implementation replays
+// it: the adapter below
 // produces bit-identical colorings and Metrics to
 // dcolor::linial_coloring at every thread count.
 #pragma once
@@ -14,21 +15,6 @@
 #include "src/runtime/parallel_engine.h"
 
 namespace dcolor::runtime {
-
-struct LinialStep {
-  std::int64_t q = 0;      // field size of this step
-  int poly_degree = 0;     // degree bound of the color polynomials
-  int color_bits = 0;      // declared width of this step's color exchange
-};
-
-struct LinialSchedule {
-  std::vector<LinialStep> steps;
-  std::int64_t final_colors = 0;
-};
-
-// The exact sequence of steps dcolor::linial_coloring would run from a
-// k-coloring on a subgraph of the given max degree.
-LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree);
 
 class LinialProgram final : public NodeProgram {
  public:

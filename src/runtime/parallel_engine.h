@@ -129,8 +129,9 @@ class ParallelEngine {
   // concatenated, and on a throw it skips to the end of the failing
   // node's pool chunk — exactly the nodes the pool would have run — so
   // results, Metrics and the rethrown exception are identical at any
-  // cutoff, which is what lets the ROADMAP's auto-tuner sweep it without
-  // rebuilds. Logged per run via the metric/engine.serial_cutoff probe.
+  // cutoff, which is what lets tests force the pool path (cutoff 0) and
+  // benchmarks compare cutoffs without rebuilds. Logged per run via the
+  // metric/engine.serial_cutoff probe.
   std::size_t serial_phase_cutoff() const { return serial_cutoff_; }
 
  private:

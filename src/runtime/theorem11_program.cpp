@@ -19,7 +19,7 @@ LinialResult EngineColoringTransport::linial(const InducedSubgraph& active,
 
 void EngineColoringTransport::build_tree(NodeId root) {
   build_tree_data(eng_, root, &tree_);
-  channel_ = &bfs_channel_;
+  bound_ = &tree_;
 }
 
 void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeId>>& targets,
@@ -38,13 +38,15 @@ void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeI
 
 std::pair<long double, long double> EngineColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  assert(channel_ != nullptr && "build_tree first (or set_channel)");
-  return channel_->aggregate_pair(eng_, values0, values1);
+  assert(bound_ != nullptr && "build_tree first (or bind_tree)");
+  const auto [sum0, sum1] =
+      runtime::aggregate_pair(eng_, *bound_, values0, values1, &aggregate_scratch_);
+  return {congest::from_fixed(sum0), congest::from_fixed(sum1)};
 }
 
 void EngineColoringTransport::broadcast_bit(int bit) {
-  assert(channel_ != nullptr && "build_tree first (or set_channel)");
-  channel_->broadcast_bit(eng_, bit);
+  assert(bound_ != nullptr && "build_tree first (or bind_tree)");
+  tree_broadcast(eng_, *bound_, static_cast<std::uint64_t>(bit), 1);
 }
 
 std::vector<bool> EngineColoringTransport::conflict_mis(

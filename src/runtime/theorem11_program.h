@@ -1,6 +1,6 @@
 // Theorem 1.1 on the parallel engine: a ColoringTransport whose
 // primitives (Linial input coloring, BFS aggregation tree, conflict-edge
-// exchanges, the Lemma 2.6 seed-fixing channel, the color-class MIS of
+// exchanges, the Lemma 2.6 pair wave and bit broadcast, the color-class MIS of
 // the conflict-resolution step) are the shared derandomization
 // NodePrograms (derand_program.h) executed by the ParallelEngine,
 // charging the exact CONGEST costs of the NetworkColoringTransport
@@ -22,11 +22,10 @@ namespace dcolor::runtime {
 
 class EngineColoringTransport final : public ColoringTransport {
  public:
-  // Self-managed aggregation: build_tree floods a BFS TreeData and
-  // installs a TreeEngineChannel over it (the Theorem 1.1
-  // configuration). A cluster-scoped transport (Corollary 1.2) instead
-  // injects its cluster-tree channel via set_channel and skips
-  // build_tree.
+  // Self-managed aggregation: build_tree floods a BFS TreeData and binds
+  // it (the Theorem 1.1 configuration). A cluster-scoped transport
+  // (Corollary 1.2) instead binds its cluster's tree via bind_tree and
+  // skips build_tree.
   EngineColoringTransport(const Graph& g, int num_threads, int bandwidth_bits = 0);
 
   const Graph& graph() const override { return *g_; }
@@ -48,12 +47,11 @@ class EngineColoringTransport final : public ColoringTransport {
   void tick(std::int64_t rounds) override { eng_.tick(rounds); }
   const congest::Metrics& metrics() const override { return eng_.metrics(); }
 
-  // Point the transport at an externally owned aggregation channel (a
-  // rebindable ClusterEngineChannel for the per-cluster transports of
-  // EngineCorollary12Transports). Non-owning: the caller keeps the
-  // channel alive, which is what lets one channel + TreeData be reused
-  // across every cluster a pool worker runs.
-  void set_channel(EngineChannel* channel) { channel_ = channel; }
+  // Bind an externally owned tree (a cluster's tree for the per-cluster
+  // transports of EngineCorollary12Transports). Non-owning: the caller
+  // keeps it alive, which is what lets one TreeData be rebound across
+  // every cluster a pool worker runs.
+  void bind_tree(const TreeData& tree) { bound_ = &tree; }
 
   ParallelEngine& engine() { return eng_; }
   const TreeData& tree() const { return tree_; }
@@ -62,10 +60,10 @@ class EngineColoringTransport final : public ColoringTransport {
   const Graph* g_;
   int num_threads_;
   ParallelEngine eng_;
-  TreeData tree_;
-  TreeEngineChannel bfs_channel_{tree_};  // bound by build_tree
+  TreeData tree_;                    // built by build_tree
+  const TreeData* bound_ = nullptr;  // the tree the pair waves run over
+  AggregateScratch aggregate_scratch_;
   ExchangeScratch exchange_scratch_;
-  EngineChannel* channel_ = nullptr;
 };
 
 // Drop-in parallel counterpart of dcolor::theorem11_solve_per_component

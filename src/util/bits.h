@@ -11,14 +11,6 @@
 
 namespace dcolor {
 
-// Unsigned saturating addition — the combine of every Q32.32 fixed-point
-// aggregation. Commutative AND associative (any order of folds that
-// overflows in total saturates), so tree-fold order never matters.
-constexpr std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t s = a + b;
-  return s < a ? ~std::uint64_t{0} : s;
-}
-
 // Smallest k with 2^k >= x (x >= 1). ceil_log2(1) == 0.
 constexpr int ceil_log2(std::uint64_t x) {
   assert(x >= 1);

@@ -69,34 +69,35 @@ namespace {
 
 std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 
-// The Lemma 2.6 channel ops (pair aggregation + bit broadcast) over a
-// BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
-// iteration. After one warm call per op, repeated calls must not touch
-// the heap — at 1 thread (serial fast path) and at 2 (pool dispatch).
-TEST(AllocAudit, BfsChannelOpsSteadyState) {
+// The Lemma 2.6 ops (pair wave + bit broadcast) over a BFS tree: the
+// innermost loop of every Theorem 1.1 seed-fixing iteration, through the
+// transport and through the free functions. After one warm call per op,
+// repeated calls must not touch the heap — at 1 thread (serial fast path)
+// and at 2 (pool dispatch).
+TEST(AllocAudit, PairWaveOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.5L);
   for (const int threads : {1, 2}) {
-    ParallelEngine eng(g, threads);
-    TreeData tree;
-    build_tree_data(eng, 0, &tree);
+    EngineColoringTransport t(g, threads);
+    t.build_tree(0);
+    ParallelEngine& eng = t.engine();
     AggregateScratch scratch;
     // Warm: scratch buffers size themselves, thread_locals materialize.
-    aggregate_fixed_pair_sum(eng, tree, v0, v1, &scratch);
-    aggregate_fixed_sum(eng, tree, v0, &scratch);
-    tree_broadcast(eng, tree, 1, 1);
-    tree_broadcast(eng, tree, 0x1abc, 13);
+    t.aggregate_pair(v0, v1);
+    t.broadcast_bit(1);
+    aggregate_pair(eng, t.tree(), v0, v1, &scratch);
+    tree_broadcast(eng, t.tree(), 0x1abc, 13);
 
     const std::uint64_t before = allocs();
     for (int i = 0; i < 5; ++i) {
-      aggregate_fixed_pair_sum(eng, tree, v0, v1, &scratch);
-      aggregate_fixed_sum(eng, tree, v0, &scratch);
-      tree_broadcast(eng, tree, 1, 1);       // flag-plane broadcast
-      tree_broadcast(eng, tree, 0x1abc, 13); // slot-plane broadcast
+      t.aggregate_pair(v0, v1);
+      t.broadcast_bit(1);                         // flag-plane broadcast
+      aggregate_pair(eng, t.tree(), v0, v1, &scratch);
+      tree_broadcast(eng, t.tree(), 0x1abc, 13);  // slot-plane broadcast
     }
     const std::uint64_t delta = allocs() - before;
-    EXPECT_EQ(delta, 0u) << "channel ops allocated at threads=" << threads;
+    EXPECT_EQ(delta, 0u) << "pair-wave ops allocated at threads=" << threads;
   }
 }
 
@@ -186,11 +187,11 @@ TEST(AllocAudit, MisRunSteadyState) {
   }
 }
 
-// The Corollary 1.2 per-cluster loop: one ClusterEngineChannel rebinding
-// across every cluster of a real network decomposition, running the
-// channel ops each time. After one warm pass over all clusters (TreeData
-// and scratch capacities reach their high-water marks), further passes —
-// rebinds included — must not allocate.
+// The Corollary 1.2 per-cluster loop: one TreeData rebound across every
+// cluster of a real network decomposition, running the pair wave and the
+// bit broadcast each time. After one warm pass over all clusters
+// (TreeData and scratch capacities reach their high-water marks), further
+// passes — rebinds included — must not allocate.
 TEST(AllocAudit, ClusterRebindSteadyState) {
   const Graph g = make_clustered(6, 12, 0.5, 0.02, test::kTestSeed + 2);
   const NetworkDecomposition d = decompose(g);
@@ -198,12 +199,13 @@ TEST(AllocAudit, ClusterRebindSteadyState) {
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.125L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.375L);
   ParallelEngine eng(g, 1);
-  ClusterEngineChannel ch;
+  TreeData tree;
+  AggregateScratch scratch;
   auto pass = [&] {
     for (const Cluster& c : d.clusters) {
-      ch.rebind(g, c);
-      ch.aggregate_pair(eng, v0, v1);
-      ch.broadcast_bit(eng, 1);
+      cluster_tree_data(g, c, &tree);
+      aggregate_pair(eng, tree, v0, v1, &scratch);
+      tree_broadcast(eng, tree, 1, 1);
     }
   };
   pass();  // warm

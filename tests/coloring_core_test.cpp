@@ -147,13 +147,12 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
   InducedSubgraph active = test::all_active(g);
   LinialResult lin = linial_coloring(net, active);
   congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel channel(tree);
   std::vector<Color> colors(n, kUncolored);
 
   PartialColoringOptions opts;
   opts.family = fam;
   opts.avoid_mis = avoid_mis;
-  NetworkColoringTransport transport(net, channel);
+  NetworkColoringTransport transport(net, tree);
   PartialColoringStats st = color_one_eighth(transport, active, inst, colors, lin.coloring,
                                              lin.num_colors, opts);
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
 #include "src/graph/generators.h"
@@ -188,32 +194,49 @@ TEST(BfsTreeTest, DepthMatchesEccentricityOnGrid) {
   EXPECT_EQ(t.depth(), ecc);
 }
 
-TEST(BfsTreeTest, AggregateSums) {
+TEST(BfsTreeTest, AggregatePairSums) {
   auto g = make_binary_tree(15);
   Network net(g);
   BfsTree t = BfsTree::build(net, 0);
-  std::vector<std::uint64_t> vals(15);
-  std::uint64_t expect = 0;
+  std::vector<long double> v0(15), v1(15);
+  std::uint64_t expect0 = 0, expect1 = 0;
   for (int i = 0; i < 15; ++i) {
-    vals[i] = static_cast<std::uint64_t>(i * 3 + 1);
-    expect += vals[i];
+    v0[i] = 0.3L * i;  // within the contract: at most Delta + 2 = 5
+    v1[i] = 0.25L * i;
+    expect0 += congest::to_fixed(v0[i]);
+    expect1 += congest::to_fixed(v1[i]);
   }
-  const auto before = net.metrics().rounds;
-  const std::uint64_t got =
-      t.aggregate(net, vals, 16, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(net.metrics().rounds - before, t.depth());
+  const auto [s0, s1] = t.aggregate_pair(net, v0, v1);
+  EXPECT_EQ(s0, expect0);
+  EXPECT_EQ(s1, expect1);
 }
 
-TEST(BfsTreeTest, AggregateWideValuesChargePipelining) {
+TEST(BfsTreeTest, AggregatePairChargesBothSumsPipelined) {
   auto g = make_path(10);
   Network net(g, 20);
   BfsTree t = BfsTree::build(net, 0);
-  std::vector<std::uint64_t> vals(10, 1);
+  std::vector<long double> vals(10, 1);
   const auto before = net.metrics().rounds;
-  t.aggregate(net, vals, 64, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  // 64 bits over 20-bit bandwidth = 4 chunks: depth + 3 rounds.
+  t.aggregate_pair(net, vals, vals);
+  // n * (Delta+2) = 40 needs 6 bits: W = 38, two sums = 76 bits over a
+  // 20-bit bandwidth = 4 chunks, so depth + 3 rounds.
+  EXPECT_EQ(congest::PairWave(g).width, 38);
   EXPECT_EQ(net.metrics().rounds - before, t.depth() + 3);
+}
+
+TEST(BfsTreeTest, FromParentsLevelsAndMinDepth) {
+  // Path 0-1-2-3-4 with the tree {2 <- 1 <- 0, 2 <- 3}, rooted at 2.
+  const std::vector<NodeId> nodes = {2, 1, 3, 0};
+  const std::vector<NodeId> parents = {-1, 2, 2, 1};
+  const BfsTree t = BfsTree::from_parents(5, nodes, parents);
+  EXPECT_EQ(t.root(), 2);
+  EXPECT_EQ(t.depth(), 2);
+  EXPECT_EQ(t.levels(), (std::vector<int>{2, 1, 0, 1, -1}));
+  EXPECT_EQ(std::vector<NodeId>(t.level_nodes(1).begin(), t.level_nodes(1).end()),
+            (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(BfsTree::from_parents(5, nodes, parents, 4).depth(), 4);
+  // A child listed before its parent is rejected.
+  EXPECT_THROW(BfsTree::from_parents(5, {2, 0, 1}, {-1, 1, 2}), std::invalid_argument);
 }
 
 TEST(BfsTreeTest, BroadcastReachesAll) {
@@ -232,18 +255,62 @@ TEST(FixedPoint, RoundTrip) {
   }
 }
 
-TEST(FixedPoint, AggregateFixedSumMatches) {
-  auto g = make_cycle(12);
-  Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
-  std::vector<long double> vals(12);
-  long double expect = 0;
-  for (int i = 0; i < 12; ++i) {
-    vals[i] = 1.0L / (i + 1);
-    expect += vals[i];
+// The integer-only codec against libm: round half away from zero of
+// x * 2^32, on random values across many binades and on exact ties.
+TEST(FixedPoint, ToFixedMatchesLlroundl) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  auto check = [](long double x) {
+    ASSERT_EQ(congest::to_fixed(x), static_cast<std::uint64_t>(llroundl(x * 4294967296.0L)))
+        << static_cast<double>(x);
+  };
+  for (int i = 0; i < 200000; ++i) {
+    // A random 63-bit mantissa scaled into [2^-40, 2^31).
+    const int exp = static_cast<int>(next() % 71) - 103;
+    check(std::ldexp(static_cast<long double>(next() >> 1), exp));
+    // Exact ties k/2^32 + 2^-33.
+    check((static_cast<long double>(next() >> 22) + 0.5L) / 4294967296.0L);
   }
-  const long double got = congest::from_fixed(congest::aggregate_fixed_sum(net, t, vals));
-  EXPECT_NEAR(static_cast<double>(got), static_cast<double>(expect), 1e-8);
+  for (long double x : {0.0L, -0.0L, 0x1p-33L, 0x1p-34L, 0x1.8p-33L, 0.5L, 1.0L, 0x1p30L,
+                        0x1.fffffffep30L}) {
+    check(x);
+  }
+  // Above llroundl's range the codec stays exact: x * 2^32 in [2^63, 2^64).
+  EXPECT_EQ(congest::to_fixed(0x1p31L), std::uint64_t{1} << 63);
+  EXPECT_EQ(congest::to_fixed(0x1.fffffffep31L), 0xffffffff00000000ull);
+}
+
+TEST(PairWaveTest, WidthLimitAndCharge) {
+  const congest::PairWave w(1024, 14);  // n * (Delta+2) = 2^14
+  EXPECT_EQ(w.width, 32 + 15);
+  EXPECT_EQ(w.limit, std::uint64_t{16} << 32);
+  EXPECT_EQ(w.message_bits(36), 36);
+  EXPECT_EQ(w.message_bits(64), 47);
+  EXPECT_EQ(w.pipelined_rounds(36), 2);   // ceil(94/36) - 1
+  EXPECT_EQ(w.pipelined_rounds(128), 0);
+  // The largest graphs whose sums still fit 64 bits, and the first that
+  // do not.
+  EXPECT_EQ(congest::PairWave(65535, 65535).width, 64);
+  EXPECT_THROW(congest::PairWave(65536, 65534), std::invalid_argument);
+  EXPECT_THROW(congest::PairWave(1 << 30, 2), std::invalid_argument);
+}
+
+TEST(PairWaveTest, EncodeRejectsValuesOutsideTheContract) {
+  const congest::PairWave w(100, 3);  // limit 5 * 2^32
+  EXPECT_EQ(w.encode(0.0L), 0u);
+  EXPECT_EQ(w.encode(5.0L), std::uint64_t{5} << 32);
+  EXPECT_EQ(w.encode(1.25L), congest::to_fixed(1.25L));
+  EXPECT_THROW(w.encode(-1e-30L), std::logic_error);
+  EXPECT_THROW(w.encode(-0.5L), std::logic_error);
+  EXPECT_THROW(w.encode(5.0L + 0x1p-31L), std::logic_error);
+  EXPECT_THROW(w.encode(1e30L), std::logic_error);
+  EXPECT_THROW(w.encode(std::numeric_limits<long double>::quiet_NaN()), std::logic_error);
+  EXPECT_THROW(w.encode(std::numeric_limits<long double>::infinity()), std::logic_error);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Corollary 1.2 on the parallel engine, tested head-on:
-//  1. Channel parity — ClusterEngineChannel charges exactly what
-//     ClusterChannel charges (depth, rounds, messages, bit totals) and
-//     computes the identical saturating Q32.32 pair sums and broadcasts,
-//     per cluster, across the decomposition corpus, at 1 and N threads.
+//  1. Cluster-tree parity — the engine's cluster TreeData charges exactly
+//     what the Network's cluster BfsTree charges for a pair wave and a
+//     bit broadcast (depth, rounds, messages, bit totals) and computes
+//     the identical Q32.32 pair sums, per cluster, across the
+//     decomposition corpus, at 1 and N threads.
 //  2. Execution parity — runtime::corollary12_coloring is bit-identical
 //     to corollary12_solve (colors, decomposition, round accounting
 //     including the kappa congestion factor and the per-class pruning
@@ -26,8 +27,8 @@
 namespace dcolor {
 namespace {
 
-using runtime::ClusterEngineChannel;
 using runtime::ParallelEngine;
+using runtime::TreeData;
 
 std::vector<test::NamedGraph> decomposition_corpus() {
   std::vector<test::NamedGraph> v = test::stress_corpus();
@@ -43,10 +44,10 @@ void expect_metrics_eq(const congest::Metrics& a, const congest::Metrics& b,
   EXPECT_EQ(a.max_message_bits, b.max_message_bits) << where;
 }
 
-TEST(ClusterEngineChannelParity, AggregateAndBroadcastMatchOnCorpus) {
+TEST(ClusterTreeParity, PairWaveAndBroadcastMatchOnCorpus) {
   for (const auto& [name, g] : decomposition_corpus()) {
     const auto d = decompose(g);
-    // Node values everywhere: the channels must restrict the sums to the
+    // Node values everywhere: the waves must restrict the sums to the
     // cluster's tree nodes (Steiner nodes included) on their own.
     std::vector<long double> v0(g.num_nodes()), v1(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -55,28 +56,30 @@ TEST(ClusterEngineChannelParity, AggregateAndBroadcastMatchOnCorpus) {
     }
     for (const Cluster& c : d.clusters) {
       congest::Network net(g);
-      ClusterChannel ref(g, c);
+      const congest::BfsTree ref = cluster_tree(g.num_nodes(), c);
       const auto [r0, r1] = ref.aggregate_pair(net, v0, v1);
-      ref.broadcast_bit(net, 1);
+      ref.broadcast(net, 1, 1);
       for (int threads : {1, 3}) {
         const std::string where =
             name + " cluster root=" + std::to_string(c.root) + " t=" + std::to_string(threads);
         ParallelEngine eng(g, threads);
-        ClusterEngineChannel chan(g, c);
-        EXPECT_EQ(chan.depth(), ref.depth()) << where;
-        const auto [e0, e1] = chan.aggregate_pair(eng, v0, v1);
-        // Both sides sum identical Q32.32 encodings with saturating
-        // adds, so the results are bit-identical, not merely close.
+        TreeData tree;
+        runtime::cluster_tree_data(g, c, &tree);
+        EXPECT_EQ(tree.depth, ref.depth()) << where;
+        runtime::AggregateScratch scratch;
+        const auto [e0, e1] = runtime::aggregate_pair(eng, tree, v0, v1, &scratch);
+        // Both sides add identical Q32.32 encodings, so the results are
+        // bit-identical, not merely close.
         EXPECT_EQ(e0, r0) << where;
         EXPECT_EQ(e1, r1) << where;
-        chan.broadcast_bit(eng, 1);
+        runtime::tree_broadcast(eng, tree, 1, 1);
         expect_metrics_eq(eng.metrics(), net.metrics(), where);
       }
     }
   }
 }
 
-TEST(ClusterEngineChannelParity, ThreadCountCannotPerturbCharges) {
+TEST(ClusterTreeParity, ThreadCountCannotPerturbCharges) {
   auto g = make_clustered(5, 12, 0.5, 10, test::kTestSeed + 2);
   const auto d = decompose(g);
   const Cluster* big = &d.clusters[0];
@@ -84,15 +87,15 @@ TEST(ClusterEngineChannelParity, ThreadCountCannotPerturbCharges) {
     if (c.tree_nodes.size() > big->tree_nodes.size()) big = &c;
   }
   std::vector<long double> v0(g.num_nodes(), 0.5L), v1(g.num_nodes(), 0.25L);
+  TreeData tree;
+  runtime::cluster_tree_data(g, *big, &tree);
+  runtime::AggregateScratch scratch;
   ParallelEngine eng1(g, 1);
-  ClusterEngineChannel chan1(g, *big);
-  const auto ref = chan1.aggregate_pair(eng1, v0, v1);
+  const auto ref = runtime::aggregate_pair(eng1, tree, v0, v1, &scratch);
   for (int threads : {2, 4, 8}) {
     ParallelEngine eng(g, threads);
-    ClusterEngineChannel chan(g, *big);
-    const auto got = chan.aggregate_pair(eng, v0, v1);
-    EXPECT_EQ(got.first, ref.first) << threads;
-    EXPECT_EQ(got.second, ref.second) << threads;
+    const auto got = runtime::aggregate_pair(eng, tree, v0, v1, &scratch);
+    EXPECT_EQ(got, ref) << threads;
     expect_metrics_eq(eng.metrics(), eng1.metrics(), "t=" + std::to_string(threads));
   }
 }

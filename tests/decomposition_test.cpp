@@ -2,7 +2,9 @@
 // end-to-end coloring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "src/decomposition/corollary12.h"
 #include "src/decomposition/netdecomp.h"
@@ -103,7 +105,7 @@ TEST(Corollary12, RoundsIndependentOfDiameterShape) {
   EXPECT_LT(res.total_rounds, t11.metrics.rounds / 4);
 }
 
-TEST(ClusterChannelTest, AggregatesOverTree) {
+TEST(ClusterTreeTest, AggregatesOverTree) {
   auto g = make_path(6);
   auto d = decompose(g);
   // Find the largest cluster and aggregate over its tree.
@@ -112,7 +114,10 @@ TEST(ClusterChannelTest, AggregatesOverTree) {
     if (c.members.size() > big->members.size()) big = &c;
   }
   congest::Network net(g);
-  ClusterChannel chan(g, *big);
+  const congest::BfsTree tree = cluster_tree(g.num_nodes(), *big);
+  EXPECT_EQ(tree.root(), big->root);
+  EXPECT_EQ(std::count_if(tree.levels().begin(), tree.levels().end(), [](int l) { return l >= 0; }),
+            static_cast<std::ptrdiff_t>(big->tree_nodes.size()));
   std::vector<long double> v0(6, 0.0L), v1(6, 0.0L);
   long double e0 = 0, e1 = 0;
   for (NodeId v : big->tree_nodes) {
@@ -121,10 +126,10 @@ TEST(ClusterChannelTest, AggregatesOverTree) {
     e0 += v0[v];
     e1 += v1[v];
   }
-  auto [s0, s1] = chan.aggregate_pair(net, v0, v1);
-  EXPECT_NEAR(static_cast<double>(s0), static_cast<double>(e0), 1e-8);
-  EXPECT_NEAR(static_cast<double>(s1), static_cast<double>(e1), 1e-8);
-  chan.broadcast_bit(net, 1);  // must not throw / violate bandwidth
+  const auto [f0, f1] = tree.aggregate_pair(net, v0, v1);
+  EXPECT_NEAR(static_cast<double>(congest::from_fixed(f0)), static_cast<double>(e0), 1e-8);
+  EXPECT_NEAR(static_cast<double>(congest::from_fixed(f1)), static_cast<double>(e1), 1e-8);
+  tree.broadcast(net, 1, 1);  // must not throw / violate bandwidth
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // transport (runtime::EngineColoringTransport) must charge identical
 // CONGEST costs and produce identical values for identical call
 // sequences — the property the Theorem 1.1 port rests on. The suite
-// replays each primitive head-on: tree construction, the Lemma 2.6
-// seed-fixing scenario (aggregate_pair + broadcast_bit per bit, chosen
-// seeds compared), conflict-edge exchanges with and without payload
-// collection, and the conflict-resolution MIS.
+// replays each primitive head-on: tree construction, the Lemma 2.6 pair
+// wave against its contract (congest::PairWave) over BFS and cluster
+// trees, the seed-fixing scenario (aggregate_pair + broadcast_bit per
+// bit, chosen seeds compared), conflict-edge exchanges with and without
+// payload collection, and the conflict-resolution MIS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -19,7 +21,9 @@
 #include "src/coloring/linial.h"
 #include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
+#include "src/decomposition/corollary12.h"
 #include "src/graph/generators.h"
+#include "src/runtime/corollary12_program.h"
 #include "src/runtime/theorem11_program.h"
 #include "tests/test_support.h"
 
@@ -45,6 +49,113 @@ std::vector<test::NamedGraph> connected_corpus() {
   return v;
 }
 
+// A cluster tree on the 5x5 grid rooted at the center (node 12) whose
+// inner nodes 7 and 13 are Steiner nodes: in the tree, not in the
+// cluster.
+Cluster steiner_cluster() {
+  Cluster c;
+  c.root = 12;
+  c.members = {2, 8, 12, 14};
+  c.tree_nodes = {12, 7, 13, 2, 8, 14};
+  c.tree_parent = {-1, 12, 12, 7, 7, 13};
+  c.tree_depth = 2;
+  return c;
+}
+
+// The pair wave on both executors, over a BFS tree and a cluster tree,
+// at a narrow, the two benchmark and a wide bandwidth: depth +
+// ceil(2W/B) - 1 rounds, one min(W,B)-bit message per tree edge, and
+// both sums equal to the sum of to_fixed over the tree's nodes. Nodes
+// outside the tree hold values the contract forbids, so the wave must
+// never encode them.
+TEST(PairWaveConformance, ChargesAndSumsMatchTheContract) {
+  const Graph g = make_grid(5, 5);
+  const NodeId n = g.num_nodes();
+  const congest::PairWave wave(g);
+  const Cluster cluster = steiner_cluster();
+  for (const bool use_cluster : {false, true}) {
+    std::vector<char> in_tree(static_cast<std::size_t>(n), use_cluster ? 0 : 1);
+    for (NodeId v : cluster.tree_nodes) in_tree[v] = 1;
+    std::vector<long double> v0(n, 100.0L), v1(n, 100.0L);
+    std::uint64_t want0 = 0, want1 = 0;
+    std::int64_t tree_nodes = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!in_tree[v]) continue;
+      v0[v] = 0.37L * (v % 7);
+      v1[v] = 1.0L / (1.0L + v);
+      want0 += congest::to_fixed(v0[v]);
+      want1 += congest::to_fixed(v1[v]);
+      ++tree_nodes;
+    }
+    for (const int bw : {12, 36, 40, 64}) {
+      const std::string where =
+          std::string(use_cluster ? "cluster" : "bfs") + " B=" + std::to_string(bw);
+      const int bits = std::min(wave.width, bw);
+      congest::Network net(g, bw);
+      const congest::BfsTree ref_tree =
+          use_cluster ? cluster_tree(n, cluster) : congest::BfsTree::build(net, 0);
+      NetworkColoringTransport ref(net, ref_tree);
+      net.reset_metrics();
+      const auto [r0, r1] = ref.aggregate_pair(v0, v1);
+      EXPECT_EQ(congest::to_fixed(r0), want0) << where;
+      EXPECT_EQ(congest::to_fixed(r1), want1) << where;
+      const congest::Metrics& m = net.metrics();
+      EXPECT_EQ(m.rounds, ref_tree.depth() + (2 * wave.width + bw - 1) / bw - 1) << where;
+      EXPECT_EQ(m.messages, tree_nodes - 1) << where;
+      EXPECT_EQ(m.total_bits, (tree_nodes - 1) * bits) << where;
+      EXPECT_EQ(m.max_message_bits, bits) << where;
+      for (const int threads : {1, 3}) {
+        runtime::EngineColoringTransport eng(g, threads, bw);
+        runtime::TreeData cluster_data;
+        if (use_cluster) {
+          runtime::cluster_tree_data(g, cluster, &cluster_data);
+          eng.bind_tree(cluster_data);
+        } else {
+          eng.build_tree(0);
+        }
+        eng.engine().reset_metrics();
+        const auto [e0, e1] = eng.aggregate_pair(v0, v1);
+        EXPECT_EQ(e0, r0) << where << " threads=" << threads;
+        EXPECT_EQ(e1, r1) << where << " threads=" << threads;
+        expect_metrics_eq(eng.metrics(), m, where + " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+// The contract holds in every build type: a tree node's value encoding
+// outside [0, (Delta+2) * 2^32] is a logic error on both executors.
+TEST(PairWaveConformance, ValueOutsideTheContractThrows) {
+  const Graph g = make_grid(4, 4);  // Delta + 2 = 6
+  for (const long double bad : {-0.5L, -1e-30L, 6.0L + 0x1p-30L, 1e9L}) {
+    std::vector<long double> ok(16, 1.0L), v(16, 1.0L);
+    v[9] = bad;
+    congest::Network net(g);
+    NetworkColoringTransport ref(net);
+    ref.build_tree(0);
+    EXPECT_THROW(ref.aggregate_pair(ok, v), std::logic_error) << static_cast<double>(bad);
+    EXPECT_THROW(ref.aggregate_pair(v, ok), std::logic_error) << static_cast<double>(bad);
+    runtime::EngineColoringTransport eng(g, 2);
+    eng.build_tree(0);
+    EXPECT_THROW(eng.aggregate_pair(ok, v), std::logic_error) << static_cast<double>(bad);
+    EXPECT_THROW(eng.aggregate_pair(v, ok), std::logic_error) << static_cast<double>(bad);
+  }
+}
+
+// A star on 2^16 nodes has n * (Delta+2) > 2^32: its sums would not fit
+// 64 bits, so the wave refuses to run on either executor.
+TEST(PairWaveConformance, SumsWiderThan64BitsAreRejected) {
+  const Graph g = make_star(1 << 16);
+  const std::vector<long double> v(static_cast<std::size_t>(g.num_nodes()), 0.0L);
+  congest::Network net(g);
+  NetworkColoringTransport ref(net);
+  ref.build_tree(0);
+  EXPECT_THROW(ref.aggregate_pair(v, v), std::invalid_argument);
+  runtime::EngineColoringTransport eng(g, 2);
+  eng.build_tree(0);
+  EXPECT_THROW(eng.aggregate_pair(v, v), std::invalid_argument);
+}
+
 TEST(TransportConformance, SeedFixingScenarioMatches) {
   for (const auto& [name, g] : connected_corpus()) {
     const NodeId n = g.num_nodes();
@@ -63,12 +174,13 @@ TEST(TransportConformance, SeedFixingScenarioMatches) {
       // per "seed bit" both sides aggregate a pair of per-node
       // conditional-expectation vectors, pick the minimizing bit, and
       // broadcast it. The values evolve with the chosen bits so any
-      // divergence compounds and cannot cancel.
+      // divergence compounds and cannot cancel; they stay in [0, 2), inside
+      // the pair wave's contract on every corpus graph.
       auto rng = test::make_rng(0x5eedf1f);
       std::vector<long double> x0(n), x1(n);
       for (NodeId v = 0; v < n; ++v) {
-        x0[v] = static_cast<long double>(rng.next_u64() % 1024) / 64.0L;
-        x1[v] = static_cast<long double>(rng.next_u64() % 1024) / 64.0L;
+        x0[v] = static_cast<long double>(rng.next_u64() % 1024) / 512.0L;
+        x1[v] = static_cast<long double>(rng.next_u64() % 1024) / 512.0L;
       }
       std::vector<int> ref_bits, eng_bits;
       for (int j = 0; j < 24; ++j) {
@@ -84,8 +196,8 @@ TEST(TransportConformance, SeedFixingScenarioMatches) {
         eng.broadcast_bit(eb);
         // Deterministic evolution driven by the chosen bit.
         for (NodeId v = 0; v < n; ++v) {
-          x0[v] = rb ? x0[v] * 0.5L + x1[v] : x0[v] + 0.25L * v;
-          x1[v] = rb ? x1[v] + 1.0L / (1 + v) : x1[v] * 0.75L;
+          x0[v] = rb ? (x0[v] + x1[v]) * 0.5L : x0[v] * 0.75L + (v % 8) / 32.0L;
+          x1[v] = rb ? x1[v] * 0.5L + 1.0L / (1 + v) : x1[v] * 0.75L;
         }
       }
       EXPECT_EQ(ref_bits, eng_bits) << name << " threads=" << threads;

@@ -92,11 +92,10 @@ TEST(ListInstanceEdge, TrimKeepsFeasibility) {
   EXPECT_EQ(inst.list(0).size(), 5u);
 }
 
-TEST(DerandChannelEdge, AggregatePairMatchesDirectSums) {
+TEST(PairWaveEdge, BfsTreeSumsMatchDirectSums) {
   auto g = make_binary_tree(31);
   congest::Network net(g);
   congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel chan(tree);
   std::vector<long double> v0(31), v1(31);
   long double e0 = 0, e1 = 0;
   for (int i = 0; i < 31; ++i) {
@@ -106,14 +105,14 @@ TEST(DerandChannelEdge, AggregatePairMatchesDirectSums) {
     e1 += v1[i];
   }
   const auto before = net.metrics().rounds;
-  auto [s0, s1] = chan.aggregate_pair(net, v0, v1);
-  EXPECT_NEAR(static_cast<double>(s0), static_cast<double>(e0), 1e-7);
-  EXPECT_NEAR(static_cast<double>(s1), static_cast<double>(e1), 1e-7);
-  // One tree pass (64-bit values pipelined into ceil(64/B) chunks) plus
-  // one extra pipelined round for the second word.
-  const int chunks = (64 + net.bandwidth_bits() - 1) / net.bandwidth_bits();
-  EXPECT_EQ(net.metrics().rounds - before, tree.depth() + (chunks - 1) + 1);
-  chan.broadcast_bit(net, 1);
+  const auto [f0, f1] = tree.aggregate_pair(net, v0, v1);
+  EXPECT_NEAR(static_cast<double>(congest::from_fixed(f0)), static_cast<double>(e0), 1e-7);
+  EXPECT_NEAR(static_cast<double>(congest::from_fixed(f1)), static_cast<double>(e1), 1e-7);
+  // One tree pass carrying both W-bit sums in B-bit chunks.
+  const congest::PairWave wave(g);
+  const int bw = net.bandwidth_bits();
+  EXPECT_EQ(net.metrics().rounds - before, tree.depth() + (2 * wave.width + bw - 1) / bw - 1);
+  tree.broadcast(net, 1, 1);
 }
 
 TEST(Theorem11Edge, AlreadyTrivialInstances) {

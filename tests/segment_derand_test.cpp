@@ -46,6 +46,38 @@ TEST(MultiwayBounds, SingletonAndUniform) {
   for (int g = 0; g < 4; ++g) EXPECT_EQ(b2[g + 1] - b2[g], 4u);
 }
 
+// The diagonal objective reads a conflict neighbor's table at every
+// subrange of the node's own fanout, so mixed fanouts on a conflict edge
+// are rejected up front in every build type — before any segment is
+// fixed — instead of reading past the smaller table. With color-value
+// matchings (`edge_pairs`) mixed fanouts stay legal.
+TEST(SegmentDerand, DiagonalObjectiveRejectsMixedFanouts) {
+  const int b = 8;
+  std::vector<MultiwaySpec> specs(4);
+  for (int v = 0; v < 4; ++v) {
+    specs[v].active = true;
+    specs[v].id = static_cast<std::uint64_t>(v);
+    specs[v].counts = v == 2 ? std::vector<int>{1, 1} : std::vector<int>{1, 2, 1, 1};
+    specs[v].bounds = multiway_bounds(specs[v].counts, b);
+  }
+  const std::vector<std::vector<NodeId>> conflict = {{1}, {0, 2}, {1, 3}, {2}};
+  int segs = 0;
+  EXPECT_THROW(segment_derand_step(specs, conflict, /*w=*/2, b, /*lambda=*/3, [&] { ++segs; }),
+               std::invalid_argument);
+  EXPECT_EQ(segs, 0);
+
+  const std::vector<ConflictPair> same = {{0, 0, 1.0L}, {1, 1, 1.0L}};
+  const EdgePairsFn pairs = [&](NodeId, std::size_t) -> const std::vector<ConflictPair>& {
+    return same;
+  };
+  const SegmentDerandResult res =
+      segment_derand_step(specs, conflict, /*w=*/2, b, /*lambda=*/3, [] {}, pairs);
+  for (int v = 0; v < 4; ++v) {
+    ASSERT_GE(res.selected[v], 0);
+    EXPECT_LT(res.selected[v], static_cast<int>(specs[v].counts.size()));
+  }
+}
+
 // The derandomized selection must always land in a NONEMPTY subrange and,
 // on the diagonal objective, produce at most the expected number of
 // conflicts (method of conditional expectations: result <= expectation).
