@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -145,6 +146,20 @@ class BitwiseChunkState {
       q[0][0] = q[0][1] = q[1][0] = q[1][1] = 0.25L;
     }
     return q;
+  }
+
+  // Which of the two known parities digit_pair(a, b) reads, from the free
+  // sets alone: kConstant both, kCorrelated only their xor, kUniform
+  // neither. digit_pair's precondition, checked in every build: both
+  // forms keep c_t free until the chunk's last bit, so exactly one
+  // constant form throws std::logic_error.
+  enum class PairShape { kConstant, kCorrelated, kUniform };
+  static PairShape pair_shape(const Form& a, const Form& b) {
+    if ((a.free == 0) != (b.free == 0)) {
+      throw std::logic_error("BitwiseChunkState: exactly one digit form of a pair is constant");
+    }
+    if (a.free == 0) return PairShape::kConstant;
+    return a.free == b.free ? PairShape::kCorrelated : PairShape::kUniform;
   }
 
   // Sum over x, y (x-major) of q[x][y] * first[x] * second[y], where first

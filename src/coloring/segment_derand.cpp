@@ -33,7 +33,7 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
   res.selected.assign(n, -1);
 
   // The nodes the objective reads: active nodes and their conflict
-  // neighbors, ascending. Per-chunk and per-candidate work runs over them
+  // neighbors, ascending. Per-chunk and per-segment work runs over them
   // only. The diagonal objective reads a neighbor's table at every
   // subrange of the node's own fanout, so the fanouts must match.
   BitwiseChunkState chunks(w, b);
@@ -57,46 +57,91 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
     }
   }
 
-  // Per node slot: digit t's form with the candidate segment substituted.
-  std::vector<BitwiseChunkState::Form> cand(static_cast<std::size_t>(chunks.size()));
+  // Term-major: within a segment, term (v, j, g) depends on the candidate
+  // R only through the endpoints' known parities, known ^ parity(mask & R).
+  // Substitution clears the same free bits for every R, so the digit-pair
+  // shape is fixed for the segment, and the probs() tables change only in
+  // fix(). So each term's <= 4 parity cases are evaluated once, and every
+  // candidate's sum adds the case it selects, in (v, j, g) order: the same
+  // values in the same order as summing one candidate at a time. A term
+  // whose cases are all +0.0 is skipped: adding +0.0 to a non-negative sum
+  // is exact.
+  using Form = BitwiseChunkState::Form;
+  using Shape = BitwiseChunkState::PairShape;
+  std::vector<long double> sums(std::size_t{1} << std::min(lambda, w + 1));
+  std::vector<std::uint8_t> parity(sums.size(), 0);  // parity[R] = popcount(R) & 1
+  for (std::size_t r = 1; r < parity.size(); ++r) parity[r] = parity[r >> 1] ^ (r & 1);
   while (!chunks.done()) {
     const int from = chunks.offset();
     const int seg = std::min(lambda, w + 1 - from);
-    long double best_val = 0;
-    int best_r = -1;
-    for (int R = 0; R < (1 << seg); ++R) {
-      for (int s = 0; s < chunks.size(); ++s) {
-        cand[s] = BitwiseChunkState::substitute(chunks.form(s), from, seg,
-                                                static_cast<std::uint64_t>(R));
-      }
-      long double sum = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        if (!specs[v].active) continue;
-        const int sv = chunks.slot(v);
-        for (std::size_t j = 0; j < conflict[v].size(); ++j) {
-          const int su = chunks.slot(conflict[v][j]);
-          const JointDist q = BitwiseChunkState::digit_pair(cand[sv], cand[su]);
-          auto joint_pg = [&](int gv, int gu) {
-            return BitwiseChunkState::pair_prob(q, chunks.probs(sv, gv), chunks.probs(su, gu));
-          };
-          if (edge_pairs != nullptr) {
-            for (const ConflictPair& cp : edge_pairs(v, j)) {
-              sum += joint_pg(cp.g_v, cp.g_u) * cp.weight;
+    const std::size_t cands = std::size_t{1} << seg;
+    const std::uint64_t seg_mask = cands - 1;
+    std::fill_n(sums.begin(), cands, 0.0L);
+    for (NodeId v = 0; v < n; ++v) {
+      if (!specs[v].active) continue;
+      const int sv = chunks.slot(v);
+      const Form fv = chunks.form(sv);
+      const Form rv = BitwiseChunkState::substitute(fv, from, seg, 0);
+      for (std::size_t j = 0; j < conflict[v].size(); ++j) {
+        const int su = chunks.slot(conflict[v][j]);
+        const Form fu = chunks.form(su);
+        const Form ru = BitwiseChunkState::substitute(fu, from, seg, 0);
+        // Candidate R flips case index bit 1 by parity[xm & R] and bit 0 by
+        // parity[ym & R]: v's and u's parities, or for a correlated pair
+        // their xor (bit 0 then stays 0).
+        std::uint64_t xm = 0, ym = 0;
+        switch (BitwiseChunkState::pair_shape(rv, ru)) {
+          case Shape::kConstant:
+            xm = (fv.free >> from) & seg_mask;
+            ym = (fu.free >> from) & seg_mask;
+            break;
+          case Shape::kCorrelated:
+            xm = ((fv.free ^ fu.free) >> from) & seg_mask;
+            break;
+          case Shape::kUniform:
+            break;
+        }
+        const int xs = xm != 0 ? 2 : 1;
+        const int ys = ym != 0 ? 2 : 1;
+        JointDist q[4];
+        for (int x = 0; x < xs; ++x) {
+          for (int y = 0; y < ys; ++y) {
+            q[2 * x + y] = BitwiseChunkState::digit_pair({rv.free, rv.known ^ x},
+                                                         {ru.free, ru.known ^ y});
+          }
+        }
+        auto add_term = [&](int gv, int gu, int kg) {
+          long double c[4] = {};
+          bool zero = true;
+          for (int x = 0; x < xs; ++x) {
+            for (int y = 0; y < ys; ++y) {
+              const long double p = BitwiseChunkState::pair_prob(
+                                        q[2 * x + y], chunks.probs(sv, gv), chunks.probs(su, gu)) /
+                                    kg;
+              c[2 * x + y] = p;
+              zero = zero && p == 0.0L;
             }
-          } else {
-            const int fanout = static_cast<int>(specs[v].counts.size());
-            for (int g = 0; g < fanout; ++g) {
-              const int kg = specs[v].counts[g];
-              if (kg == 0) continue;
-              sum += joint_pg(g, g) / kg;
-            }
+          }
+          if (zero) return;
+          for (std::size_t r = 0; r < cands; ++r) {
+            sums[r] += c[2 * parity[xm & r] + parity[ym & r]];
+          }
+        };
+        if (edge_pairs != nullptr) {
+          // Weight 1: dividing by 1 is exact.
+          for (const ConflictPair& cp : edge_pairs(v, j)) add_term(cp.g_v, cp.g_u, 1);
+        } else {
+          const int fanout = static_cast<int>(specs[v].counts.size());
+          for (int g = 0; g < fanout; ++g) {
+            if (specs[v].counts[g] != 0) add_term(g, g, specs[v].counts[g]);
           }
         }
       }
-      if (best_r < 0 || sum < best_val) {
-        best_val = sum;
-        best_r = R;
-      }
+    }
+    // The first minimum wins.
+    std::size_t best_r = 0;
+    for (std::size_t r = 1; r < cands; ++r) {
+      if (sums[r] < sums[best_r]) best_r = r;
     }
     chunks.fix(seg, static_cast<std::uint64_t>(best_r));
     ++res.segments_fixed;

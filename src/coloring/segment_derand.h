@@ -15,11 +15,16 @@
 //
 // The hash digits' conditional distribution is the multiway case of
 // BitwiseChunkState (chunk_state.h): its per-chunk tables hold
-// Pr[h in subrange g | fixed digits, digit t = x], and a candidate is
-// substituted into each node's digit form once per (candidate, node).
-// Candidates are summed in the order (candidate, v, j, g, x, y);
-// tests/segment_derand_test.cpp and tests/golden_test.cpp pin the exact
-// choices.
+// Pr[h in subrange g | fixed digits, digit t = x]. A segment is scored
+// term-major: within it, term (v, j, g) depends on the candidate R only
+// through the endpoints' known parities, so the term's <= 4 parity cases
+// are evaluated once and each candidate's sum adds the case R selects.
+// Every candidate's sum adds its terms in (v, j, g) order, x-major
+// over (x, y) inside each. A segment costs O(terms) pair probabilities
+// and O(nonzero terms * 2^lambda) additions, with 2^lambda long doubles
+// and a 2^lambda parity table as scratch. tests/segment_derand_test.cpp
+// holds the loop to a candidate-major reference, and it and
+// tests/golden_test.cpp pin the exact choices.
 //
 // Nothing here communicates: every message and round is charged by the
 // caller's hooks.
@@ -51,11 +56,10 @@ struct SegmentDerandResult {
 };
 
 // One conflicting pair of subrange selections on a directed edge (v,u):
-// selecting g_v at v and g_u at u contributes `weight` to the potential.
+// selecting g_v at v and g_u at u adds 1 to the potential.
 struct ConflictPair {
   int g_v;
   int g_u;
-  long double weight;
 };
 
 // Per-directed-edge conflict structure: pairs(v, j) describes the edge

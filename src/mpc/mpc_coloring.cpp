@@ -114,8 +114,7 @@ NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& c
         } else if (Lv[a] > Lu[c]) {
           ++c;
         } else {
-          pairs[v][j].push_back(
-              ConflictPair{static_cast<int>(a), static_cast<int>(c), 1.0L});
+          pairs[v][j].push_back(ConflictPair{static_cast<int>(a), static_cast<int>(c)});
           ++a;
           ++c;
         }

@@ -2,10 +2,12 @@
 // commit step shared by the clique and MPC algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "src/coloring/chunk_state.h"
 #include "src/coloring/segment_derand.h"
 #include "src/hash/coin_family.h"
 #include "src/util/bits.h"
@@ -66,7 +68,7 @@ TEST(SegmentDerand, DiagonalObjectiveRejectsMixedFanouts) {
                std::invalid_argument);
   EXPECT_EQ(segs, 0);
 
-  const std::vector<ConflictPair> same = {{0, 0, 1.0L}, {1, 1, 1.0L}};
+  const std::vector<ConflictPair> same = {{0, 0}, {1, 1}};
   const EdgePairsFn pairs = [&](NodeId, std::size_t) -> const std::vector<ConflictPair>& {
     return same;
   };
@@ -180,7 +182,7 @@ TEST(SegmentDerand, EdgePairObjectiveAvoidsMatchingColors) {
   conflict[0] = {1};
   conflict[1] = {0};
   // Same-index selections clash (same color list on both nodes).
-  const std::vector<ConflictPair> clash = {{0, 0, 1.0L}, {1, 1, 1.0L}};
+  const std::vector<ConflictPair> clash = {{0, 0}, {1, 1}};
   auto res = segment_derand_step(
       specs, conflict, 1, b, 2, [] {},
       [&](NodeId, std::size_t) -> const std::vector<ConflictPair>& { return clash; });
@@ -260,7 +262,8 @@ TEST(SegmentDerand, ExactBitsDigest) {
         }
       }
     }
-    // Per directed edge (v, conflict[v][j]): a few weighted subrange pairs.
+    // Per directed edge (v, conflict[v][j]): a few subrange pairs. The
+    // discarded third draw keeps the random stream of later instances.
     std::vector<std::vector<std::vector<ConflictPair>>> pairs(n);
     for (int v = 0; v < n; ++v) {
       for (NodeId u : conflict[v]) {
@@ -268,8 +271,8 @@ TEST(SegmentDerand, ExactBitsDigest) {
         const int k = 1 + static_cast<int>(rng.next_below(3));
         for (int i = 0; i < k; ++i) {
           cps.push_back({static_cast<int>(rng.next_below(specs[v].counts.size())),
-                         static_cast<int>(rng.next_below(specs[u].counts.size())),
-                         1.0L / static_cast<long double>(1 + rng.next_below(3))});
+                         static_cast<int>(rng.next_below(specs[u].counts.size()))});
+          rng.next_below(3);
         }
         pairs[v].push_back(std::move(cps));
       }
@@ -286,7 +289,170 @@ TEST(SegmentDerand, ExactBitsDigest) {
       }
     }
   }
-  EXPECT_EQ(h, 0xa658b2a4b4cae634ull);
+  EXPECT_EQ(h, 0x21ba6d47fa791a90ull);
+}
+
+// The candidate-major loop segment_derand_step replaced, kept as its
+// reference: for each candidate R of a segment, substitute R into every
+// node's digit form and sum every term in (v, j, g) order; the first
+// minimum wins.
+SegmentDerandResult candidate_major_reference(const std::vector<MultiwaySpec>& specs,
+                                              const std::vector<std::vector<NodeId>>& conflict,
+                                              int w, int b, int lambda,
+                                              const EdgePairsFn& edge_pairs) {
+  const NodeId n = static_cast<NodeId>(specs.size());
+  SegmentDerandResult res;
+  res.selected.assign(n, -1);
+  BitwiseChunkState chunks(w, b);
+  chunks.reset(n);
+  std::vector<char> mark(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!specs[v].active) continue;
+    mark[v] = 1;
+    for (NodeId u : conflict[v]) mark[u] = 1;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (mark[v]) chunks.add(v, specs[v].id, specs[v].bounds);
+  }
+  std::vector<BitwiseChunkState::Form> cand(static_cast<std::size_t>(chunks.size()));
+  while (!chunks.done()) {
+    const int from = chunks.offset();
+    const int seg = std::min(lambda, w + 1 - from);
+    long double best_val = 0;
+    int best_r = -1;
+    for (int R = 0; R < (1 << seg); ++R) {
+      for (int s = 0; s < chunks.size(); ++s) {
+        cand[s] = BitwiseChunkState::substitute(chunks.form(s), from, seg,
+                                                static_cast<std::uint64_t>(R));
+      }
+      long double sum = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        if (!specs[v].active) continue;
+        const int sv = chunks.slot(v);
+        for (std::size_t j = 0; j < conflict[v].size(); ++j) {
+          const int su = chunks.slot(conflict[v][j]);
+          const JointDist q = BitwiseChunkState::digit_pair(cand[sv], cand[su]);
+          auto joint_pg = [&](int gv, int gu) {
+            return BitwiseChunkState::pair_prob(q, chunks.probs(sv, gv), chunks.probs(su, gu));
+          };
+          if (edge_pairs != nullptr) {
+            for (const ConflictPair& cp : edge_pairs(v, j)) sum += joint_pg(cp.g_v, cp.g_u);
+          } else {
+            for (std::size_t g = 0; g < specs[v].counts.size(); ++g) {
+              const int kg = specs[v].counts[g];
+              if (kg == 0) continue;
+              sum += joint_pg(static_cast<int>(g), static_cast<int>(g)) / kg;
+            }
+          }
+        }
+      }
+      if (best_r < 0 || sum < best_val) {
+        best_val = sum;
+        best_r = R;
+      }
+    }
+    chunks.fix(seg, static_cast<std::uint64_t>(best_r));
+    ++res.segments_fixed;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (specs[v].active) res.selected[v] = chunks.landed(chunks.slot(v));
+  }
+  return res;
+}
+
+// Term-major evaluation against the candidate-major reference, exact
+// equality of every selection on 240 seeded instances: lambda in
+// {1, 2, 3, w+1}, precision 1..16 and 40 bits, subranges with zero
+// counts, nodes settled from the first chunk (one nonempty subrange), the
+// diagonal objective on one fanout per instance and edge pairs (some
+// edges with none) on mixed fanouts. Every 8th instance has no conflict
+// edge: all sums tie at +0, so R = 0 must win every segment and each node
+// lands where the all-zero seed puts h = 0, in its first nonempty
+// subrange.
+TEST(SegmentDerand, TermMajorMatchesCandidateMajorReference) {
+  Rng rng(4242);
+  int settled_nodes = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const bool diagonal = trial % 2 == 0;
+    const bool all_tie = trial % 8 == 1;
+    const int n = 2 + static_cast<int>(rng.next_below(11));
+    const int w = ceil_log2(static_cast<std::uint64_t>(n)) + static_cast<int>(rng.next_below(2));
+    const int b = trial % 5 == 0 ? 40 : 1 + static_cast<int>(rng.next_below(16));
+    const int common_fanout = 1 + static_cast<int>(rng.next_below(8));
+    std::vector<MultiwaySpec> specs(n);
+    for (int v = 0; v < n; ++v) {
+      specs[v].active = rng.next_below(5) != 0;
+      specs[v].id = static_cast<std::uint64_t>(v);
+      const int fanout = diagonal ? common_fanout : 1 + static_cast<int>(rng.next_below(8));
+      specs[v].counts.assign(fanout, 0);
+      if (rng.next_below(6) == 0) {
+        specs[v].counts[rng.next_below(fanout)] = 1 + static_cast<int>(rng.next_below(3));
+        ++settled_nodes;
+      } else {
+        for (int g = 0; g < fanout; ++g) specs[v].counts[g] = static_cast<int>(rng.next_below(4));
+        if (std::all_of(specs[v].counts.begin(), specs[v].counts.end(),
+                        [](int c) { return c == 0; })) {
+          specs[v].counts[0] = 1;
+        }
+      }
+      specs[v].bounds = multiway_bounds(specs[v].counts, b);
+    }
+    std::vector<std::vector<NodeId>> conflict(n);
+    for (int v = 0; v < n && !all_tie; ++v) {
+      for (int u = v + 1; u < n; ++u) {
+        if (specs[v].active && specs[u].active && rng.next_below(2) == 0) {
+          conflict[v].push_back(static_cast<NodeId>(u));
+          conflict[u].push_back(static_cast<NodeId>(v));
+        }
+      }
+    }
+    std::vector<std::vector<std::vector<ConflictPair>>> pairs(n);
+    for (int v = 0; v < n; ++v) {
+      for (NodeId u : conflict[v]) {
+        std::vector<ConflictPair> cps(rng.next_below(4));
+        for (ConflictPair& cp : cps) {
+          cp = {static_cast<int>(rng.next_below(specs[v].counts.size())),
+                static_cast<int>(rng.next_below(specs[u].counts.size()))};
+        }
+        pairs[v].push_back(std::move(cps));
+      }
+    }
+    const EdgePairsFn edge_pairs = [&](NodeId v, std::size_t j)
+        -> const std::vector<ConflictPair>& { return pairs[v][j]; };
+    for (int lambda : {1, 2, 3, w + 1}) {
+      const EdgePairsFn objective = diagonal ? nullptr : edge_pairs;
+      int segments = 0;
+      const SegmentDerandResult got =
+          segment_derand_step(specs, conflict, w, b, lambda, [&] { ++segments; }, objective);
+      const SegmentDerandResult want =
+          candidate_major_reference(specs, conflict, w, b, lambda, objective);
+      ASSERT_EQ(got.selected, want.selected) << "trial " << trial << " lambda " << lambda;
+      ASSERT_EQ(got.segments_fixed, want.segments_fixed);
+      ASSERT_EQ(segments, got.segments_fixed);
+      if (!all_tie) continue;
+      for (int v = 0; v < n; ++v) {
+        if (!specs[v].active) continue;
+        const auto first = std::find_if(specs[v].counts.begin(), specs[v].counts.end(),
+                                        [](int c) { return c != 0; });
+        EXPECT_EQ(got.selected[v], first - specs[v].counts.begin()) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(settled_nodes, 100);
+}
+
+// digit_pair's precondition, that both forms of a pair are constant or
+// neither is, holds by construction (c_t is free until the chunk's last
+// bit). The segment loop classifies each pair once per segment through
+// pair_shape, which checks it in every build type.
+TEST(SegmentDerand, PairShapeChecksItsPreconditionInEveryBuild) {
+  using Form = BitwiseChunkState::Form;
+  using Shape = BitwiseChunkState::PairShape;
+  EXPECT_EQ(BitwiseChunkState::pair_shape(Form{0, 1}, Form{0, 0}), Shape::kConstant);
+  EXPECT_EQ(BitwiseChunkState::pair_shape(Form{6, 0}, Form{6, 1}), Shape::kCorrelated);
+  EXPECT_EQ(BitwiseChunkState::pair_shape(Form{6, 0}, Form{5, 0}), Shape::kUniform);
+  EXPECT_THROW(BitwiseChunkState::pair_shape(Form{0, 0}, Form{4, 0}), std::logic_error);
+  EXPECT_THROW(BitwiseChunkState::pair_shape(Form{4, 1}, Form{0, 1}), std::logic_error);
 }
 
 // The commit rule on a triangle: a node keeps its candidate with no
